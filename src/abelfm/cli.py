@@ -98,8 +98,8 @@ def _cmd_params(args) -> int:
     lam = parse_rational(args.lam)
     omega_src, omega_dst = induced.conjecture_params(spec, args.k, lam)
     print(f"k = {args.k}, lambda = {format_rational(lam)}, g = {spec.g}")
-    print(f"omega_src = ({omega_src.re}) + ({omega_src.im})*i  [units of l]")
-    print(f"omega_dst = ({omega_dst.re}) + ({omega_dst.im})*i  [units of l]")
+    print(f"omega_src = {omega_src}  [units of l]")
+    print(f"omega_dst = {omega_dst}  [units of l]")
     u = PolarScalar(lam, Fraction(args.k, spec.g))
     verdicts = induced.verify_induced_law(spec, u, divided_power_basis(spec.src))
     print(induced.render_verdicts(verdicts))

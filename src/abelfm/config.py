@@ -56,13 +56,14 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def _rat(block: dict, key: str, where: str) -> Fraction:
+def _rat(block: dict, key: str, where: str, parse=parse_rational):
+    """An exact leaf: a plain JSON integer, or a string read by parse."""
     val = _need(block, key, where)
     if isinstance(val, int) and not isinstance(val, bool):
         return Fraction(val)
     if isinstance(val, str):
         try:
-            return parse_rational(val)
+            return parse(val)
         except ValueError as exc:
             raise ConfigError(f"{where}.{key}: {exc}") from None
     raise ConfigError(f"{where}.{key}: want a rational string, got {val!r}")
@@ -104,9 +105,8 @@ def transform_from(cfg: dict) -> FMTransformSpec:
 def charge_from(cfg: dict, ctx: AbelianContext, k_override: int | None = None) -> ChargeSpec:
     block = _block(cfg, "charge")
     k = k_override if k_override is not None else _int(block, "k", "charge")
-    t_raw = _need(block, "t", "charge")
     try:
-        t = parse_surd(t_raw) if isinstance(t_raw, str) else Fraction(t_raw)
+        t = _rat(block, "t", "charge", parse_surd)
         return ChargeSpec(ctx, k, _rat(block, "b", "charge"), t)
     except ValueError as exc:
         raise ConfigError(f"charge: {exc}") from None

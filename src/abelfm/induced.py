@@ -8,69 +8,53 @@ form, so its reality is decidable: it is real precisely when g times the
 angle of u is an integer multiple of pi, and for angles k*pi/g (k = 1..g-1)
 it is real with sign (-1)^k.
 
-Both sides of the identity are evaluated exactly over Q(sqrt 3) whenever
-the angle of u is a multiple of pi/6 (which covers every k*pi/g with
-g in {1, 2, 3, 6}); other angles use a float check with a stated tolerance
-of 1e-12, and every verdict records which arithmetic produced it.
+Both sides of the identity are polynomials in u over Q (zeta's u^g clears
+the powers of 1/u), so it is decided exactly, for every angle and every g,
+by comparing coefficients.  Values at u are shown over Q(sqrt 3) when its
+angle lies in the pi/6 family (every k*pi/g with g in {1, 2, 3, 6}), and as
+coefficient lists in u otherwise.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, pi
+from functools import lru_cache
+from math import factorial, gcd
 from typing import Sequence
 
 from .lattice import AbelianContext, CohClass
-from .stability import charge_at, charge_at_float
-from .surd import PolarScalar, Q3, SurdComplex, as_fraction
+from .stability import _horner, charge_poly
+from .surd import PolarScalar, SurdComplex, as_fraction
 from .transform import FMTransformSpec, apply
-
-FLOAT_TOL = 1e-12
-
-
-class ExactnessError(ValueError):
-    """An exact-only entry point met an angle outside Q(sqrt 3)."""
 
 
 @dataclass(frozen=True)
 class ComplexAmpleClass:
-    """A complexified polarization (re + i*im) * l with im > 0.  Components
-    are exact Q(sqrt 3) values, or floats on the documented fallback."""
+    """The complexified polarization (base + u) * l: an exact rational base
+    plus a polar scalar u in the open upper half-plane."""
 
     ctx: AbelianContext
-    re: Q3 | float
-    im: Q3 | float
+    base: Fraction
+    u: PolarScalar
 
     def __post_init__(self):
-        exact_re = isinstance(self.re, Q3)
-        exact_im = isinstance(self.im, Q3)
-        if exact_re != exact_im:
-            raise TypeError("components must be both exact or both floats")
-        if exact_im:
-            if self.im.sign() <= 0:
-                raise ValueError(f"imaginary part must be positive, got {self.im}")
-        elif not self.im > 0:
-            raise ValueError(f"imaginary part must be positive, got {self.im}")
+        object.__setattr__(self, "base", as_fraction(self.base))
+        if not 0 < self.u.angle < 1:
+            raise ValueError(f"u must lie in the open upper half-plane, got angle {self.u.angle}*pi")
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.re, Q3)
-
-    def as_surd(self) -> SurdComplex:
-        if not self.exact:
-            raise ExactnessError("polarization stored in float fallback form")
-        return SurdComplex(self.re, self.im)
-
-    def as_complex(self) -> complex:
-        if self.exact:
-            return complex(float(self.re), float(self.im))
-        return complex(self.re, self.im)
+    def as_surd(self) -> SurdComplex | None:
+        """Rectangular form over Q(sqrt 3), or None when the angle of u lies
+        outside the pi/6 family."""
+        rect = self.u.to_exact()
+        return None if rect is None else rect + self.base
 
     def __str__(self):
-        return f"({self.re}) + ({self.im})*i"
+        rect = self.as_surd()
+        if rect is None:
+            return f"({self.base}) + ({self.u})"
+        return f"({rect.re}) + ({rect.im})*i"
 
 
 @dataclass(frozen=True)
@@ -100,30 +84,10 @@ def zeta(spec: FMTransformSpec, u: PolarScalar) -> PolarScalar:
 def induced_law(spec: FMTransformSpec, u: PolarScalar) -> InducedChargeLaw:
     """Charge parameters on both sides for the scalar u, which must lie in
     the open upper half-plane (angle strictly between 0 and pi)."""
-    if not 0 < u.angle < 1:
-        raise ValueError(
-            f"u must lie in the open upper half-plane, got angle {u.angle}*pi"
-        )
-    z = zeta(spec, u)
-    exact_u = u.to_exact()
-    if exact_u is not None:
-        re_src = Q3(-spec.d_x) + exact_u.re
-        im_src = exact_u.im
-        inv = u.inverse().to_exact()  # angle of 1/u is minus that of u
-        re_dst = Q3(spec.d_y) - inv.re
-        im_dst = -inv.im
-        omega_src = ComplexAmpleClass(spec.src, re_src, im_src)
-        omega_dst = ComplexAmpleClass(spec.dst, re_dst, im_dst)
-    else:
-        uc = complex(u)
-        omega_src = ComplexAmpleClass(
-            spec.src, -float(spec.d_x) + uc.real, uc.imag
-        )
-        ic = 1 / uc
-        omega_dst = ComplexAmpleClass(
-            spec.dst, float(spec.d_y) - ic.real, -ic.imag
-        )
-    return InducedChargeLaw(spec, u, z, omega_src, omega_dst)
+    omega_src = ComplexAmpleClass(spec.src, -spec.d_x, u)
+    # -1/u has modulus 1/|u| and angle pi minus the angle of u
+    omega_dst = ComplexAmpleClass(spec.dst, spec.d_y, PolarScalar(1 / u.modulus, 1 - u.angle))
+    return InducedChargeLaw(spec, u, zeta(spec, u), omega_src, omega_dst)
 
 
 def real_zeta_angles(g: int) -> list[Fraction]:
@@ -142,9 +106,9 @@ def conjecture_params(
         source: (-d_x + lam*cos(k*pi/g)) * l + i * lam*sin(k*pi/g) * l
         target: (d_y - cos(k*pi/g)/lam) * l + i * sin(k*pi/g)/lam * l
 
-    Exact components whenever k*pi/g lies in the pi/6 family.  Applying this
-    to the quasi-inverse with k -> g-k and lam -> 1/lam exchanges the two
-    sides exactly."""
+    Rectangular over Q(sqrt 3) whenever k*pi/g lies in the pi/6 family.
+    Applying this to the quasi-inverse with k -> g-k and lam -> 1/lam
+    exchanges the two sides exactly."""
     g = spec.g
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g - 1:
         raise ValueError(f"angle index k must lie in 1..{g - 1}, got {k!r}")
@@ -155,13 +119,39 @@ def conjecture_params(
     return law.omega_src, law.omega_dst
 
 
+def _taylor_shift(p: Sequence[Fraction], h: Fraction) -> list[Fraction]:
+    """Coefficients of p(x + h), constant term first."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += h * p[j + 1]
+    return p
+
+
+def law_sides(spec: FMTransformSpec, e: CohClass) -> tuple[list[Fraction], list[Fraction]]:
+    """Both sides of the transport identity for e as coefficient lists in u,
+    constant term first.  The source side is minus the plain integral
+    shifted by -d_x.  With q the image's plain integral shifted by d_y, the
+    target side is zeta(u) * -q(-1/u) = -c * sum_j q_j (-1)^j u^(g-j), where
+    zeta(u) = c * u^g."""
+    g = spec.g
+    lhs = [-a for a in _taylor_shift(charge_poly(spec.src, e, g), -spec.d_x)]
+    q = _taylor_shift(charge_poly(spec.dst, apply(spec, e), g), spec.d_y)
+    c = spec.r * spec.src.n / factorial(g)
+    rhs = [c * (-1) ** (j + 1) * q[j] for j in range(g, -1, -1)]
+    return lhs, rhs
+
+
 @dataclass(frozen=True)
 class LawVerdict:
-    """One checked instance of the charge transport identity."""
+    """One checked instance of the charge transport identity.  lhs and rhs
+    are the two sides at u, or their coefficient lists in u (constant term
+    first) when u has no rectangular form over Q(sqrt 3).  equal compares
+    coefficients, so every verdict is exact."""
 
     label: str
-    lhs: SurdComplex | complex
-    rhs: SurdComplex | complex
+    lhs: SurdComplex | tuple[Fraction, ...]
+    rhs: SurdComplex | tuple[Fraction, ...]
     equal: bool
     exact: bool
 
@@ -169,7 +159,7 @@ class LawVerdict:
         def fmt(v):
             if isinstance(v, SurdComplex):
                 return {"re": str(v.re), "im": str(v.im)}
-            return {"re_float": v.real, "im_float": v.imag}
+            return {"u_coeffs": [str(c) for c in v]}
 
         return {
             "label": self.label,
@@ -184,31 +174,24 @@ def verify_induced_law(
     spec: FMTransformSpec, u: PolarScalar, basis: Sequence[CohClass]
 ) -> list[LawVerdict]:
     """Check, class by class, that the source charge at -d_x + u equals zeta
-    times the target charge of the image at d_y - 1/u.  Exact equality over
-    Q(sqrt 3) when the angle of u permits; otherwise floats compared to the
-    stated 1e-12 tolerance, flagged per verdict."""
-    law = induced_law(spec, u)
-    g = spec.g
+    times the target charge of the image at d_y - 1/u, as polynomials in u."""
+    induced_law(spec, u)  # rejects u outside the open upper half-plane
+    rect = u.to_exact()
     out = []
-    if law.omega_src.exact:
-        zr = law.zeta.to_exact()
-        assert zr is not None  # g * (pi/6 family) stays in the family
-        for idx, e in enumerate(basis):
-            lhs = charge_at(spec.src, law.omega_src.as_surd(), e, g)
-            img = apply(spec, e)
-            rhs = zr * charge_at(spec.dst, law.omega_dst.as_surd(), img, g)
-            out.append(LawVerdict(f"e{idx}", lhs, rhs, lhs == rhs, True))
-    else:
-        zc = complex(law.zeta)
-        for idx, e in enumerate(basis):
-            lhs = charge_at_float(spec.src, law.omega_src.as_complex(), e, g)
-            img = apply(spec, e)
-            rhs = zc * charge_at_float(spec.dst, law.omega_dst.as_complex(), img, g)
-            scale = max(1.0, abs(lhs), abs(rhs))
-            out.append(
-                LawVerdict(f"e{idx}", lhs, rhs, abs(lhs - rhs) <= FLOAT_TOL * scale, False)
-            )
+    for idx, e in enumerate(basis):
+        lhs, rhs = law_sides(spec, e)
+        if rect is None:
+            shown = tuple(lhs), tuple(rhs)
+        else:
+            shown = _horner(lhs, rect), _horner(rhs, rect)
+        out.append(LawVerdict(f"e{idx}", *shown, lhs == rhs, True))
     return out
+
+
+def _show(v) -> str:
+    if isinstance(v, SurdComplex):
+        return str(v)
+    return "[" + ", ".join(str(c) for c in v) + "]"
 
 
 def render_verdicts(verdicts: Sequence[LawVerdict]) -> str:
@@ -216,7 +199,7 @@ def render_verdicts(verdicts: Sequence[LawVerdict]) -> str:
     lines = [f"{'label':<8} {'equal':<6} {'exact':<6} lhs | rhs"]
     for v in verdicts:
         lines.append(
-            f"{v.label:<8} {str(v.equal):<6} {str(v.exact):<6} {v.lhs} | {v.rhs}"
+            f"{v.label:<8} {str(v.equal):<6} {str(v.exact):<6} {_show(v.lhs)} | {_show(v.rhs)}"
         )
     lines.append("")
     for v in verdicts:
@@ -237,32 +220,50 @@ class PhaseShiftVerdict:
     exact: bool
 
 
+def _divmod_monic(p: Sequence, d: Sequence[int]) -> tuple[list, list]:
+    """Quotient and remainder of p by the monic d, constant terms first."""
+    p = list(p)
+    k = len(d) - 1
+    q = [0] * max(len(p) - k, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = p[i + k]
+        if c:
+            for j, dj in enumerate(d):
+                p[i + j] -= c * dj
+    return q, p[:k]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial: x^n - 1 divided by the cyclotomic
+    polynomials of the proper divisors of n."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            p = _divmod_monic(p, _cyclotomic(d))[0]
+    return tuple(p)
+
+
+def _vanishes_at(coeffs: Sequence[Fraction], u: PolarScalar) -> bool:
+    """Whether sum_m coeffs[m] * u^m = 0.  With u = lam * w, w a primitive
+    N-th root of unity, that holds exactly when Phi_N, the minimal
+    polynomial of w over Q, divides sum_m coeffs[m] * lam^m * x^m."""
+    r = [c * u.modulus**m for m, c in enumerate(coeffs)]
+    a = u.angle  # w = exp(i*pi*a)
+    n = 2 * a.denominator // gcd(a.numerator, 2)
+    if n > 2 * len(r) ** 2:  # deg Phi_n = phi(n) >= sqrt(n/2) > deg r
+        return not any(r)
+    return not any(_divmod_monic(r, _cyclotomic(n))[1])
+
+
 def phase_shift_check(spec: FMTransformSpec, u: PolarScalar, e: CohClass) -> PhaseShiftVerdict:
-    """Exact (or flagged float) test of the phase transport relation for a
-    single class with nonvanishing source charge."""
+    """Exact test of the phase transport relation for a single class with
+    nonvanishing source charge.  It holds when the transport identity holds
+    as polynomials in u: then Z_source = zeta * Z_target at u, and both are
+    nonzero."""
     law = induced_law(spec, u)
-    g = spec.g
-    raw_angle = u.angle * g  # arg(zeta)/pi before normalization
-    expected = int(round(raw_angle))
-    if law.omega_src.exact:
-        zs = charge_at(spec.src, law.omega_src.as_surd(), e, g)
-        if zs.is_zero:
-            raise ValueError("phase shift undefined: source charge vanishes")
-        img = apply(spec, e)
-        zt = charge_at(spec.dst, law.omega_dst.as_surd(), img, g)
-        if zt.is_zero:
-            return PhaseShiftVerdict(False, expected, law.zeta, True)
-        zr = law.zeta.to_exact()
-        w = zs * zr.conj() * zt.conj()
-        holds = w.im.sign() == 0 and w.re.sign() > 0
-        return PhaseShiftVerdict(holds, expected, law.zeta, True)
-    zs = charge_at_float(spec.src, law.omega_src.as_complex(), e, g)
-    if zs == 0:
+    lhs, rhs = law_sides(spec, e)
+    if _vanishes_at(lhs, u):
         raise ValueError("phase shift undefined: source charge vanishes")
-    img = apply(spec, e)
-    zt = charge_at_float(spec.dst, law.omega_dst.as_complex(), img, g)
-    if zt == 0:
-        return PhaseShiftVerdict(False, expected, law.zeta, False)
-    diff = cmath.phase(zs) - cmath.phase(complex(law.zeta)) - cmath.phase(zt)
-    holds = abs((diff + pi) % (2 * pi) - pi) <= 1e-9
-    return PhaseShiftVerdict(holds, expected, law.zeta, False)
+    expected = int(round(u.angle * spec.g))  # arg(zeta)/pi before normalization
+    return PhaseShiftVerdict(lhs == rhs, expected, law.zeta, True)

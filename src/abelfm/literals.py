@@ -22,7 +22,7 @@ def parse_rational(text: str) -> Fraction:
     t = text.strip()
     if not _RAT_RE.match(t):
         raise ValueError(f"bad rational literal {text!r} (want p/q or p)")
-    if "/" in t and t.endswith("/0"):
+    if "/" in t and int(t.split("/")[1]) == 0:
         raise ValueError(f"bad rational literal {text!r} (zero denominator)")
     return Fraction(t)
 

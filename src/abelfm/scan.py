@@ -28,12 +28,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable
 
 from .lattice import AbelianContext, CohClass
 from .literals import format_rational_frac
-from .stability import ChargeSpec, charge
+from .stability import ChargeSpec, charge, charge_poly
 from .surd import as_fraction
 
 
@@ -107,11 +107,8 @@ def _int_charge_coeffs(cls: CohClass, k: int, scale: int) -> list[int]:
     positive multiple of the plain truncated integral at z = b + i*t.  The
     per-class positive factor is irrelevant to signs."""
     g = cls.ctx.g
-    n = cls.ctx.n
-    coeffs = [Fraction(0)] * (g + 1)
-    for m in range(g - k, g + 1):
-        # scale^(g-m) re-homogenizes after substituting z -> z/scale
-        coeffs[m] = n * cls.c[g - m] * (-1) ** m * scale ** (g - m) / factorial(m)
+    # scale^(g-m) re-homogenizes after substituting z -> z/scale
+    coeffs = [a * scale ** (g - m) for m, a in enumerate(charge_poly(cls.ctx, cls, k))]
     den = lcm(*(c.denominator for c in coeffs))
     return [int(c * den) for c in coeffs]
 

@@ -8,16 +8,17 @@ polarization parameter beta = b + i*t (t > 0), the level-k charge is
 
 that is, minus the i^(g-k) quarter-turn of the integral of e^{-beta*l}
 against the truncation of e to degrees at most k.  At k = g this is the
-untruncated charge of the full class.  All values are computed exactly:
-beta has components in Q(sqrt 3) and the quarter turn is a component swap
-with signs, never a float rotation.
+untruncated charge of the full class.  The sum is written once, as the
+polynomial in beta returned by charge_poly; charge_at evaluates it exactly
+(beta has components in Q(sqrt 3)) and the quarter turn is a component swap
+with signs.
 
 Slopes are -Re/Im with Im = 0 read as slope +infinity (returned as None).
 Phases are arg(Z)/pi in (0, 1] plus any explicit homological shift carried
-by the class; phase comparisons against rational bounds are decided exactly
-whenever the bound has denominator dividing 12, via tangent comparisons in
-Q(sqrt 3), and fall back to floats otherwise.  Display helpers that return
-floats are accurate to about 1e-12 and say so.
+by the class.  phase() is a display value, accurate to about 1e-12.
+phase_cmp decides comparisons against rational bounds exactly, via tangent
+comparisons in Q(sqrt 3), whenever the bound has denominator dividing 12;
+for any other bound it compares display values.
 """
 
 from __future__ import annotations
@@ -72,37 +73,34 @@ def _split(e) -> tuple[CohClass, int]:
     raise TypeError(f"expected CohClass or ShiftedClass, got {e!r}")
 
 
+def charge_poly(ctx: AbelianContext, e: CohClass, k: int) -> list[Fraction]:
+    """Coefficients a_0..a_g, constant term first, of the plain truncated
+    integral n * sum_{i <= k} c_i * (-beta)^(g-i) / (g-i)! as a polynomial
+    in beta: a_m = n * c_(g-m) * (-1)^m / m! when g - m <= k, else 0."""
+    if not e.ctx.matches(ctx):
+        raise ValueError("charge_poly: class context does not match")
+    g = ctx.g
+    return [
+        ctx.n * e.c[g - m] * (-1) ** m / factorial(m) if g - m <= k else Fraction(0)
+        for m in range(g + 1)
+    ]
+
+
+def _horner(coeffs: Sequence, x):
+    """sum_m coeffs[m] * x^m by Horner's rule, in whatever ring x lives in."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
 def charge_at(ctx: AbelianContext, beta: SurdComplex, e: CohClass, k: int) -> SurdComplex:
     """Exact level-k charge of e at the complexified parameter beta*l."""
-    if not e.ctx.matches(ctx):
-        raise ValueError("charge_at: class context does not match")
-    g = ctx.g
-    total = SurdComplex()
-    minus_beta = -beta
-    power = SurdComplex(Q3(1))  # (-beta)^0
-    powers = [power]
-    for _ in range(g):
-        power = power * minus_beta
-        powers.append(power)
-    for i in range(min(k, g) + 1):
-        ci = e.c[i]
-        if ci != 0:
-            total = total + powers[g - i] * Fraction(ci, factorial(g - i))
-    total = ctx.n * total
+    total = _horner(charge_poly(ctx, e, k), beta)
     # -(i^(g-k)): quarter turns then negation, all exact
-    for _ in range((g - k) % 4):
+    for _ in range((ctx.g - k) % 4):
         total = total.times_i()
     return -total
-
-
-def charge_at_float(ctx: AbelianContext, beta: complex, e: CohClass, k: int) -> complex:
-    """Float twin of charge_at for the documented inexact fallbacks;
-    accurate to roughly 1e-12 relative error."""
-    g = ctx.g
-    total = 0j
-    for i in range(min(k, g) + 1):
-        total += float(e.c[i]) * (-beta) ** (g - i) / factorial(g - i)
-    return -(1j ** ((g - k) % 4)) * float(ctx.n) * total
 
 
 def charge(spec: ChargeSpec, e) -> SurdComplex:

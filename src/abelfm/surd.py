@@ -6,16 +6,14 @@ Numbers of the form r + s*sqrt(3) with rational r, s are closed under the
 four field operations and admit exact sign decisions, so every comparison
 made with them is certain, not a float guess.  They contain the cosine,
 sine and tangent of every multiple of pi/6, which covers the angles k*pi/g
-for g in {1, 2, 3, 6}.  Angles outside that family fall back to floats in
-the few display and verification paths that allow it; those paths flag
-themselves as inexact.
+for g in {1, 2, 3, 6}.  A polar scalar at any other angle stays in polar
+form: it has no rectangular form here, and nothing rounds it to one.
 
 Everything in this module is immutable and hashable.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,9 +285,6 @@ class SurdComplex:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __str__(self):
         sep = "+" if self.im.sign() >= 0 else "-"
         return f"({self.re}) {sep} ({abs(self.im)})*i"
@@ -408,9 +403,6 @@ class PolarScalar:
             return None
         s = sin_pi(self.angle)
         return SurdComplex(self.modulus * c, self.modulus * s)
-
-    def __complex__(self):
-        return float(self.modulus) * cmath.exp(1j * math.pi * float(self.angle))
 
     def __str__(self):
         return f"{self.modulus}@{self.angle}"

@@ -419,8 +419,8 @@ def _check_param_positivity() -> CheckResult:
         for spec in (_law_specs(g)[0], _law_specs(g)[1]):
             for k in range(1, g):
                 for lam in lambdas:
-                    om_s, om_d = induced.conjecture_params(spec, k, lam)
-                    if not (om_s.exact and om_d.exact):
+                    om_s, om_d = (om.as_surd() for om in induced.conjecture_params(spec, k, lam))
+                    if om_s is None or om_d is None:
                         return _fail(
                             "law.param_positivity", f"g={g}, k={k}: inexact components"
                         )
@@ -508,7 +508,7 @@ def _check_point_charge() -> CheckResult:
             spec = stability.ChargeSpec(ctx, g, _rand_rat(rng), _rand_pos(rng))
             if stability.charge(spec, p) != SurdComplex(Q3(-1)):
                 return _fail("bg.point_charge", f"full charge != -1 at g={g}")
-            if stability.phase(spec, p) != 1.0:
+            if stability.phase_cmp(spec, p, Fraction(1)) != 0:
                 return _fail("bg.point_charge", f"phase != 1 at g={g}")
             if stability.slope(spec, p) is not None:
                 return _fail("bg.point_charge", f"slope finite at g={g}")

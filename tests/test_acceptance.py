@@ -27,7 +27,7 @@ from abelfm.lattice import (
 )
 from abelfm.scan import recheck_walls, render, scan_walls
 from abelfm.stability import ChargeSpec, bg_check, charge, phase
-from abelfm.surd import PolarScalar, Q3
+from abelfm.surd import PolarScalar, Q3, SurdComplex
 from abelfm.transform import (
     FMTransformSpec,
     InvalidSpecError,
@@ -221,20 +221,16 @@ def test_criterion_5_matched_polarization_pairs():
     spec3 = law_specs(3)[1]  # r=2, d_x=1/2, d_y=-1/3
     for lam in lams:
         src, dst = conjecture_params(spec3, 1, lam)
-        assert src.re == Q3(-spec3.d_x + lam / 2)
-        assert src.im == Q3(0, lam / 2)
-        assert dst.re == Q3(spec3.d_y - 1 / (2 * lam))
-        assert dst.im == Q3(0, 1 / (2 * lam))
+        assert src.as_surd() == SurdComplex(Q3(-spec3.d_x + lam / 2), Q3(0, lam / 2))
+        assert dst.as_surd() == SurdComplex(Q3(spec3.d_y - 1 / (2 * lam)), Q3(0, 1 / (2 * lam)))
         shift = phase_shift_check(spec3, PolarScalar(lam, F(1, 3)), skyscraper(spec3.src))
         assert shift.holds and shift.exact and shift.expected_shift == 1
 
     spec2 = law_specs(2)[1]  # r=2, d_x=1/2, d_y=-1/3
     for lam in lams:
         src, dst = conjecture_params(spec2, 1, lam)
-        assert src.re == Q3(-spec2.d_x)
-        assert src.im == Q3(lam)
-        assert dst.re == Q3(spec2.d_y)
-        assert dst.im == Q3(1 / lam)
+        assert src.as_surd() == SurdComplex(Q3(-spec2.d_x), Q3(lam))
+        assert dst.as_surd() == SurdComplex(Q3(spec2.d_y), Q3(1 / lam))
         shift = phase_shift_check(spec2, PolarScalar(lam, F(1, 2)), skyscraper(spec2.src))
         assert shift.holds and shift.exact and shift.expected_shift == 1
 

@@ -1,13 +1,19 @@
 """End-to-end CLI behavior: verbs, output shapes, exit codes, env override."""
 
 import json
+import os
+import re
 import subprocess
+import sys
+from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from abelfm.cli import main
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 EXAMPLE = DATA / "example_scan.json"
 
@@ -217,11 +223,95 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert "class:" in err
 
 
+def _subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_entry_point():
+    # run the target declared in [project.scripts] the way the installed
+    # console script does, so a broken declaration fails here too
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^abelfm\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert target, "no abelfm entry in [project.scripts]"
+    module, func = target.groups()
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
     proc = subprocess.run(
-        ["abelfm", "verify", "--suite", "lattice"],
+        [sys.executable, "-c", code, "verify", "--suite", "lattice"],
         capture_output=True,
         text=True,
+        env=_subprocess_env(),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().splitlines()[-1].startswith("ok: ")
+
+
+def test_python_dash_m_help():
+    proc = subprocess.run(
+        [sys.executable, "-m", "abelfm", "--help"],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: abelfm")
+
+
+CHARGE_CFG = {
+    "context": {"g": 2, "n": "2", "label": "X"},
+    "charge": {"k": 2, "b": "0", "t": "1"},
+}
+
+
+@pytest.mark.parametrize(
+    "leaf,value,cls",
+    [
+        (None, None, "1,1/00,0"),
+        (("charge", "b"), "1/00", "1,0,0"),
+        (("context", "n"), "3/000", "1,0,0"),
+        (("charge", "t"), 0.1, "1,0,0"),
+        (("charge", "t"), True, "1,0,0"),
+        (("charge", "b"), 1.5, "1,0,0"),
+        (("charge", "b"), False, "1,0,0"),
+        (("context", "n"), 2.0, "1,0,0"),
+        (("context", "n"), True, "1,0,0"),
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cls):
+    cfg = json.loads(json.dumps(CHARGE_CFG))
+    if leaf is not None:
+        cfg[leaf[0]][leaf[1]] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc, out, err = run(capsys, ["charge", "--config", str(path), "--class", cls])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+FLOAT_LITERAL = re.compile(r"\d\.\d|\d[eE][-+]?\d|\b(nan|inf)\b")
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_params_exact_outside_pi6_family(capsys, tmp_path, g):
+    # angles k*pi/g with g = 4, 5 mostly leave Q(sqrt3); the law is still
+    # decided exactly and nothing printed is a float
+    n_x = F(3)
+    cfg = {
+        "transform": {
+            "g": g, "nX": str(n_x), "nY": str(F(factorial(g)) ** 2 / (4 * n_x)),
+            "r": 2, "dX": "1/2", "dY": "-2/3",
+        }
+    }
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for k in range(1, g):
+        for lam in ("1/2", "1", "7/3"):
+            rc, out, err = run(capsys, ["params", "--config", str(path), "--k", str(k), "--lambda", lam])
+            assert rc == 0, err
+            assert out.count('"exact": true') == g + 1
+            assert '"equal": false' not in out
+            assert "holds=True" in out and out.rstrip().endswith("exact=True")
+            assert not FLOAT_LITERAL.search(out), out

@@ -134,6 +134,17 @@ def test_charge_from_errors():
         charge_from({"charge": {"k": 5, "b": "0", "t": "1"}}, ctx)
 
 
+def test_charge_from_rejects_non_string_t():
+    # t takes the same typed route as every other leaf: no JSON floats or
+    # bools, ever
+    ctx = AbelianContext(2, F(2), "X")
+    for bad in (0.1, 1.5, 2.0, True, False, None, [1]):
+        with pytest.raises(ConfigError, match="charge.t"):
+            charge_from({"charge": {"k": 2, "b": "0", "t": bad}}, ctx)
+    with pytest.raises(ConfigError, match="zero denominator"):
+        charge_from({"charge": {"k": 2, "b": "0", "t": "1/00"}}, ctx)
+
+
 def test_class_from():
     ctx = AbelianContext(2, F(2), "X")
     c = class_from(ctx, "1,0,-1/2")

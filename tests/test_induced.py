@@ -1,22 +1,27 @@
 """Induced charge relation: zeta, matched parameters, transport verdicts."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abelfm import induced
 from abelfm.induced import (
     ComplexAmpleClass,
     conjecture_params,
     induced_law,
+    law_sides,
     phase_shift_check,
     real_zeta_angles,
     verify_induced_law,
     zeta,
 )
-from abelfm.lattice import AbelianContext, divided_power_basis, skyscraper
-from abelfm.surd import PolarScalar, Q3
-from abelfm.transform import FMTransformSpec, quasi_inverse
+from abelfm.lattice import AbelianContext, CohClass, divided_power_basis, skyscraper
+from abelfm.stability import charge_at
+from abelfm.surd import PolarScalar, Q3, SurdComplex
+from abelfm.transform import FMTransformSpec, apply, quasi_inverse
 
 F = Fraction
 H = F(1, 2)
@@ -65,10 +70,9 @@ def test_induced_law_parameter_arithmetic():
     spec = spec3()
     law = induced_law(spec, PolarScalar(F(2), F(1, 3)))
     # source: -d_x + 2 e^{i pi/3} = -1/2 + 1 + i sqrt3 = 1/2 + i sqrt3
-    assert law.omega_src.re == Q3(H) and law.omega_src.im == Q3(0, 1)
+    assert law.omega_src.as_surd() == SurdComplex(Q3(H), Q3(0, 1))
     # target: d_y - e^{-i pi/3}/2 = -2/3 - 1/4 + i sqrt3/4
-    assert law.omega_dst.re == Q3(F(-11, 12))
-    assert law.omega_dst.im == Q3(0, F(1, 4))
+    assert law.omega_dst.as_surd() == SurdComplex(Q3(F(-11, 12)), Q3(0, F(1, 4)))
     assert law.zeta.modulus == 8 and law.zeta.angle == 1
 
 
@@ -84,16 +88,19 @@ def test_induced_law_rejects_real_u():
 
 def test_complex_ample_class_validation():
     ctx = AbelianContext(2, F(2))
-    with pytest.raises(ValueError):
-        ComplexAmpleClass(ctx, Q3(0), Q3(0))
-    with pytest.raises(ValueError):
-        ComplexAmpleClass(ctx, Q3(0), Q3(-1))
+    for angle in (F(0), F(1), F(-1, 2)):
+        with pytest.raises(ValueError):
+            ComplexAmpleClass(ctx, F(0), PolarScalar(F(1), angle))
     with pytest.raises(TypeError):
-        ComplexAmpleClass(ctx, Q3(0), 1.5)
-    exact = ComplexAmpleClass(ctx, Q3(H), Q3(0, 1))
-    assert exact.exact
-    loose = ComplexAmpleClass(ctx, 0.5, 1.25)
-    assert not loose.exact
+        ComplexAmpleClass(ctx, 0.5, PolarScalar(F(1), H))
+    # rectangular inside the pi/6 family: 1/2 + 2 e^{i pi/3} = 3/2 + sqrt3 i
+    rect = ComplexAmpleClass(ctx, H, PolarScalar(F(2), F(1, 3)))
+    assert rect.as_surd() == SurdComplex(Q3(F(3, 2)), Q3(0, 1))
+    assert str(rect) == "(3/2) + (1*sqrt3)*i"
+    # polar outside it
+    polar = ComplexAmpleClass(ctx, F(-1, 3), PolarScalar(F(2), F(1, 4)))
+    assert polar.as_surd() is None
+    assert str(polar) == "(-1/3) + (2@1/4)"
 
 
 def test_verify_induced_law_exact_poincare():
@@ -116,13 +123,14 @@ def test_verify_induced_law_exact_twisted():
 
 
 def test_verify_induced_law_float_fallback():
-    # angle 1/4 leaves Q(sqrt3); the float path must still close to 1e-12
+    # angle 1/4 leaves Q(sqrt3); the law is still decided exactly, as
+    # polynomials in u, and the sides are shown as coefficient lists
     spec = poincare2()
     verdicts = verify_induced_law(
         spec, PolarScalar(F(1), F(1, 4)), divided_power_basis(spec.src)
     )
-    assert all(v.equal for v in verdicts)
-    assert all(not v.exact for v in verdicts)
+    assert all(v.equal and v.exact for v in verdicts)
+    assert all(isinstance(v.lhs, tuple) and len(v.lhs) == 3 for v in verdicts)
 
 
 def test_conjecture_params_surface_display():
@@ -136,8 +144,8 @@ def test_conjecture_params_surface_display():
     )
     for lam in (H, F(1), F(3)):
         om, om_p = conjecture_params(spec, 1, lam)
-        assert om.re == Q3(F(-1, 3)) and om.im == Q3(lam)
-        assert om_p.re == Q3(F(-1, 5)) and om_p.im == Q3(1 / lam)
+        assert om.as_surd() == SurdComplex(Q3(F(-1, 3)), Q3(lam))
+        assert om_p.as_surd() == SurdComplex(Q3(F(-1, 5)), Q3(1 / lam))
 
 
 def test_conjecture_params_threefold_display():
@@ -146,10 +154,8 @@ def test_conjecture_params_threefold_display():
     spec = spec3()
     lam = F(2, 3)
     om, om_p = conjecture_params(spec, 1, lam)
-    assert om.re == Q3(-H + lam / 2)
-    assert om.im == Q3(0, lam / 2)
-    assert om_p.re == Q3(F(-2, 3) - 1 / (2 * lam))
-    assert om_p.im == Q3(0, 1 / (2 * lam))
+    assert om.as_surd() == SurdComplex(Q3(-H + lam / 2), Q3(0, lam / 2))
+    assert om_p.as_surd() == SurdComplex(Q3(F(-2, 3) - 1 / (2 * lam)), Q3(0, 1 / (2 * lam)))
 
 
 def test_conjecture_params_validation():
@@ -191,7 +197,7 @@ def test_phase_shift_check_float():
     spec = poincare2()
     u = PolarScalar(F(1), F(1, 4))
     verdict = phase_shift_check(spec, u, skyscraper(spec.src))
-    assert verdict.holds and not verdict.exact
+    assert verdict.holds and verdict.exact
     assert verdict.expected_shift == 0  # round(2 * 1/4) banker-rounds to 0
 
 
@@ -202,3 +208,121 @@ def test_zeta_reality_against_angle_grid():
             u = PolarScalar(F(5, 4), F(p, q) if p else F(0))
             want = (F(p, q) * 3).denominator == 1
             assert zeta(spec, u).is_real == want
+
+
+# ---- oracles for the polynomial law path --------------------------------
+
+
+def _spec(g, r, n_x, d_x, d_y):
+    return FMTransformSpec(
+        src=AbelianContext(g, n_x, "X"),
+        dst=AbelianContext(g, F(factorial(g)) ** 2 / (r * r * n_x), "Y"),
+        r=r,
+        d_x=d_x,
+        d_y=d_y,
+    )
+
+
+def _eval(coeffs, x):
+    # plain power sum, deliberately not Horner's rule
+    total = SurdComplex()
+    power = SurdComplex(Q3(1))
+    for c in coeffs:
+        total = total + power * c
+        power = power * x
+    return total
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 6])
+def test_law_sides_match_pointwise_charges(g):
+    # the polynomial sides, evaluated at u, are the old exact path:
+    # charge_at at omega_src, and zeta times charge_at of the image at omega_dst
+    angles = sorted({F(k, g) for k in range(1, g)} | {F(j, 6) for j in range(1, 6)})
+    specs = [_spec(g, 1, F(factorial(g)), F(0), F(0)), _spec(g, 2, F(3), H, F(-2, 3))]
+    for spec in specs:
+        basis = [*divided_power_basis(spec.src), CohClass(spec.src, tuple(F(i - 1, i + 2) for i in range(g + 1)))]
+        for angle in angles:
+            for lam in (H, F(1), F(7, 3)):
+                u = PolarScalar(lam, angle)
+                law = induced_law(spec, u)
+                rect, z = u.to_exact(), law.zeta.to_exact()
+                for e in basis:
+                    lhs, rhs = law_sides(spec, e)
+                    assert _eval(lhs, rect) == charge_at(spec.src, law.omega_src.as_surd(), e, g)
+                    img = apply(spec, e)
+                    assert _eval(rhs, rect) == z * charge_at(spec.dst, law.omega_dst.as_surd(), img, g)
+
+
+@pytest.mark.parametrize("angle", [F(1, 3), F(1, 4), F(2, 5)])
+def test_perturbed_image_breaks_the_law(monkeypatch, angle):
+    spec = spec3()
+    real_apply = induced.apply
+    monkeypatch.setattr(
+        induced, "apply", lambda s, e: real_apply(s, e) + CohClass(s.dst, (F(0), F(0), F(1, 7), F(0)))
+    )
+    u = PolarScalar(F(3, 2), angle)
+    verdicts = verify_induced_law(spec, u, divided_power_basis(spec.src))
+    assert verdicts and not any(v.equal for v in verdicts)
+    verdict = phase_shift_check(spec, u, skyscraper(spec.src))
+    assert not verdict.holds and verdict.exact
+
+
+# cyclotomic polynomials Phi_N for N | 12, constant term first
+PHI = {
+    1: (-1, 1),
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    6: (1, -1, 1),
+    12: (1, 0, -1, 0, 1),
+}
+
+
+def _order(j):
+    # multiplicative order of exp(i*pi*j/6) = exp(2*pi*i*j/12)
+    return 12 // gcd(j % 12, 12)
+
+
+def _mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(rationals, min_size=1, max_size=6),
+    j=st.integers(min_value=-5, max_value=6),
+    lam=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4).filter(lambda x: x > 0),
+    make_root=st.booleans(),
+)
+def test_cyclotomic_zero_test_matches_exact_evaluation(coeffs, j, lam, make_root):
+    u = PolarScalar(lam, F(j, 6))
+    n = _order(j)
+    assert induced._cyclotomic(n) == PHI[n]
+    if make_root:  # multiply in Phi_N(x/lam), which vanishes at x = u
+        coeffs = _mul(coeffs, [c / lam**i for i, c in enumerate(PHI[n])])
+    value = _eval(coeffs, u.to_exact())
+    assert induced._vanishes_at(coeffs, u) == value.is_zero
+    if make_root:
+        assert value.is_zero
+
+
+def test_cyclotomic_degree_bound_behind_the_shortcut():
+    # _vanishes_at skips Phi_n when n > 2*len(r)^2, relying on
+    # phi(n) >= sqrt(n/2); check the bound by a totient sieve
+    top = 5000
+    phi = list(range(top))
+    for p in range(2, top):
+        if phi[p] == p:
+            for m in range(p, top, p):
+                phi[m] -= phi[m] // p
+    assert all(2 * phi[n] ** 2 >= n for n in range(1, top))
+    u = PolarScalar(F(2), F(1, 1001))
+    assert not induced._vanishes_at([F(1), F(-1)], u)
+    assert induced._vanishes_at([F(0), F(0)], u)

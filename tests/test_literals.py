@@ -26,6 +26,13 @@ def test_parse_rational_forms():
             parse_rational(bad)
 
 
+def test_parse_rational_rejects_every_zero_denominator():
+    for bad in ("1/00", "-3/000", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(bad)
+    assert parse_rational("0/10") == 0
+
+
 def test_format_rational_shapes():
     assert format_rational(Fraction(4)) == "4"
     assert format_rational(Fraction(-1, 3)) == "-1/3"

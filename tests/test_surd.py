@@ -80,7 +80,6 @@ def test_surd_complex_arithmetic():
     assert w == SurdComplex(Q3(4))
     assert z.times_i() == SurdComplex(Q3(0, -1), Q3(1))
     assert (z / z) == SurdComplex(Q3(1))
-    assert complex(SurdComplex(Q3(2), Q3(-1))) == 2 - 1j
 
 
 def test_normalize_angle_window():
