@@ -36,6 +36,8 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ConfigError(f"config {path}: invalid JSON (nested too deeply)") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     return raw

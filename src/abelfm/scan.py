@@ -6,11 +6,14 @@ the locus where their level-k charges align over the reals:
 
     W(b, t) = Re Z(w) * Im Z(v) - Re Z(v) * Im Z(w) = 0.
 
-The scanner evaluates W exactly at every grid point and emits each grid
-cell whose corner values show a sign change (two corners of strict opposite
-sign, or a zero corner next to a nonzero one).  A wall class proportional
-to the probe gives the identically zero polynomial; it is flagged trivial
-and contributes no cells.  A probe whose charge vanishes on the whole grid
+The scanner makes one pass over the b columns of the grid.  It evaluates W
+exactly at each point of a column, keeps only the current and the previous
+column of signs per wall, and emits each cell between them whose four
+corner signs are not all equal (two corners of strict opposite sign, or a
+zero corner next to a nonzero one).  Memory is O(walls * nt + cells),
+independent of the number of b columns.  A wall class proportional to the
+probe gives the identically zero polynomial; it is flagged trivial and
+contributes no cells.  A probe whose charge vanishes on the whole grid
 flags the dataset as degenerate.
 
 The simultaneous quarter-turn in both charges cancels inside W, so the
@@ -113,26 +116,37 @@ def _int_charge_coeffs(cls: CohClass, k: int, scale: int) -> list[int]:
     return [int(c * den) for c in coeffs]
 
 
+def _crosses(quad) -> bool:
+    """The cell predicate: the four corner signs are not all equal."""
+    s = quad[0]
+    return quad[1] != s or quad[2] != s or quad[3] != s
+
+
 def scan_walls(req: ScanRequest) -> WallDataset:
-    """Evaluate every wall polynomial exactly on the grid and collect the
-    sign-change cells, ordered by wall index, then b, then t."""
+    """Evaluate every wall polynomial exactly on the grid, one b column at a
+    time, and collect the sign-change cells, ordered by wall index, then b,
+    then t."""
     nb, nt = req.resolution
     bs = _grid(req.b_range[0], req.b_range[1], nb)
     ts = _grid(req.t_range[0], req.t_range[1], nt)
     g = req.ctx.g
+    ms = range(g - req.k, g + 1)
 
     # clear all grid denominators with one integer scale
     scale = lcm(*(x.denominator for x in (*bs, *ts)))
     bi = [int(b * scale) for b in bs]
     ti = [int(t * scale) for t in ts]
 
-    classes = [req.v, *req.walls]
-    coeffs = [_int_charge_coeffs(cls, req.k, scale) for cls in classes]
-
-    # integer charge values per class and grid point
-    values = [[[None] * nt for _ in range(nb)] for _ in classes]
+    qv, *qws = (_int_charge_coeffs(cls, req.k, scale) for cls in (req.v, *req.walls))
+    nw = len(qws)
+    found: list[list[WallCell]] = [[] for _ in range(nw)]
+    nonzero = [False] * nw
+    v_degenerate = True
+    prev = None
     for x in range(nb):
         zb = bi[x]
+        # sign of W per wall down this column
+        col = [[0] * nt for _ in range(nw)]
         for y in range(nt):
             zt = ti[y]
             # powers of z = zb + i*zt
@@ -143,48 +157,38 @@ def scan_walls(req: ScanRequest) -> WallDataset:
                 pr, pi_ = pr * zb - pi_ * zt, pr * zt + pi_ * zb
                 pow_r[m] = pr
                 pow_i[m] = pi_
-            for ci, q in enumerate(coeffs):
-                re = 0
-                im = 0
-                for m in range(g - req.k, g + 1):
+            vr = vim = 0
+            for m in ms:
+                qm = qv[m]
+                if qm:
+                    vr += qm * pow_r[m]
+                    vim += qm * pow_i[m]
+            if vr or vim:
+                v_degenerate = False
+            for wi in range(nw):
+                q = qws[wi]
+                wr = wim = 0
+                for m in ms:
                     qm = q[m]
                     if qm:
-                        re += qm * pow_r[m]
-                        im += qm * pow_i[m]
-                values[ci][x][y] = (re, im)
-
-    v_vals = values[0]
-    v_degenerate = all(
-        v_vals[x][y] == (0, 0) for x in range(nb) for y in range(nt)
-    )
-
-    cells: list[WallCell] = []
-    trivial: list[int] = []
-    for wi in range(len(req.walls)):
-        w_vals = values[wi + 1]
-        signs = [[0] * nt for _ in range(nb)]
-        any_nonzero = False
-        for x in range(nb):
-            for y in range(nt):
-                wr, wim = w_vals[x][y]
-                vr, vim = v_vals[x][y]
+                        wr += qm * pow_r[m]
+                        wim += qm * pow_i[m]
                 val = wr * vim - vr * wim
                 if val:
-                    any_nonzero = True
-                    signs[x][y] = 1 if val > 0 else -1
-        if not any_nonzero:
-            trivial.append(wi)
-            continue
-        for x in range(nb - 1):
-            col0, col1 = signs[x], signs[x + 1]
-            for y in range(nt - 1):
-                quad = (col0[y], col1[y], col0[y + 1], col1[y + 1])
-                has_pos = 1 in quad
-                has_neg = -1 in quad
-                has_zero = 0 in quad
-                if (has_pos and has_neg) or (has_zero and (has_pos or has_neg)):
-                    cells.append(WallCell(wi, bs[x], ts[y]))
-    return WallDataset(req, tuple(cells), tuple(trivial), v_degenerate)
+                    nonzero[wi] = True
+                    col[wi][y] = 1 if val > 0 else -1
+        if prev is not None:
+            b = bs[x - 1]
+            for wi in range(nw):
+                col0, col1, out = prev[wi], col[wi], found[wi]
+                for y in range(nt - 1):
+                    if _crosses((col0[y], col1[y], col0[y + 1], col1[y + 1])):
+                        out.append(WallCell(wi, b, ts[y]))
+        prev = col
+
+    trivial = tuple(wi for wi in range(nw) if not nonzero[wi])
+    cells = tuple(cell for out in found for cell in out)
+    return WallDataset(req, cells, trivial, v_degenerate)
 
 
 def recheck_walls(ds: WallDataset) -> bool:
@@ -211,16 +215,13 @@ def recheck_walls(ds: WallDataset) -> bool:
         if x is None or y is None or x + 1 >= nb or y + 1 >= nt:
             return False
         w = req.walls[cell.w_index]
-        quad = [
+        quad = (
             wall_sign(w, bs[x], ts[y]),
             wall_sign(w, bs[x + 1], ts[y]),
             wall_sign(w, bs[x], ts[y + 1]),
             wall_sign(w, bs[x + 1], ts[y + 1]),
-        ]
-        has_pos = 1 in quad
-        has_neg = -1 in quad
-        has_zero = 0 in quad
-        if not ((has_pos and has_neg) or (has_zero and (has_pos or has_neg))):
+        )
+        if not _crosses(quad):
             return False
     return True
 

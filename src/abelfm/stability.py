@@ -16,20 +16,22 @@ with signs.
 Slopes are -Re/Im with Im = 0 read as slope +infinity (returned as None).
 Phases are arg(Z)/pi in (0, 1] plus any explicit homological shift carried
 by the class.  phase() is a display value, accurate to about 1e-12.
-phase_cmp decides comparisons against rational bounds exactly, via tangent
-comparisons in Q(sqrt 3), whenever the bound has denominator dividing 12;
-for any other bound it compares display values.
+phase_cmp decides a comparison against a rational bound with one exact
+sign test in Q(sqrt 3) against each multiple of 1/12 it needs: the bound
+itself when 12 times it is an integer, else the two twelfths around it.
+Display values are compared only when the phase lies strictly inside that
+twelfth-gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, factorial, pi
+from math import atan2, factorial, floor, pi
 from typing import Sequence
 
 from .lattice import AbelianContext, CohClass, twist
-from .surd import Q3, SurdComplex, as_fraction, tan_pi
+from .surd import Q3, SurdComplex, as_fraction, direction_pi
 from .transform import ShiftedClass
 
 
@@ -153,9 +155,11 @@ def phase(spec: ChargeSpec, e) -> float | None:
 
 
 def phase_cmp(spec: ChargeSpec, e, bound: Fraction) -> int:
-    """Sign of (phase(e) - bound).  Exact whenever the reduced denominator
-    of the bound, after removing the integer shift, divides 12; otherwise a
-    float comparison is used.  Raises on undefined phase."""
+    """Sign of (phase(e) - bound).  Decided exactly against the bound when
+    its denominator, after removing the integer shift, divides 12, and
+    otherwise against the two multiples of 1/12 around it; display values
+    are compared only when the phase lies strictly between those two.
+    Raises on undefined phase."""
     cls, shift = _split(e)
     z = charge(spec, cls)
     if z.is_zero:
@@ -166,30 +170,26 @@ def phase_cmp(spec: ChargeSpec, e, bound: Fraction) -> int:
         return 1
     if y > 1:
         return -1
-    imsg, resg = z.im.sign(), z.re.sign()
-    if y == 1:
-        return 0 if imsg == 0 else -1
-    if imsg == 0:  # negative real axis: base phase exactly 1 > y
+    lo = Fraction(floor(12 * y), 12)
+    if lo == y:
+        return _side(z, y)
+    # the twelfths on either side of y decide unless the phase lies between
+    if lo and _side(z, lo) <= 0:
+        return -1
+    if _side(z, lo + Fraction(1, 12)) >= 0:
         return 1
-    half = Fraction(1, 2)
-    if y == half:
-        return -resg
-    if y < half:
-        if resg <= 0:
-            return 1
-        t_bound = tan_pi(y)
-        if t_bound is not None:
-            return (z.im / z.re - t_bound).sign()
-    else:
-        if resg >= 0:
-            return -1
-        t_bound = tan_pi(y)
-        if t_bound is not None:
-            return (z.im / z.re - t_bound).sign()
-    # documented float fallback for bounds outside the exact family
+    # documented float fallback inside a twelfth-gap around the bound
     base = atan2(float(z.im), float(z.re)) / pi
     diff = base - float(y)
     return 0 if diff == 0 else (1 if diff > 0 else -1)
+
+
+def _side(z: SurdComplex, y: Fraction) -> int:
+    """Sign of (arg(z)/pi - y) for arg(z)/pi and y in (0, 1], 12y integral:
+    the sign of sin(arg(z) - y*pi), i.e. of Im(z * conj(d)) for the
+    direction d of angle y*pi."""
+    d = direction_pi(y)
+    return (z.im * d.re - z.re * d.im).sign()
 
 
 def in_slice(spec: ChargeSpec, e, window: tuple[Fraction, Fraction]) -> bool:

@@ -4,9 +4,10 @@ of pi.
 
 Numbers of the form r + s*sqrt(3) with rational r, s are closed under the
 four field operations and admit exact sign decisions, so every comparison
-made with them is certain, not a float guess.  They contain the cosine,
-sine and tangent of every multiple of pi/6, which covers the angles k*pi/g
-for g in {1, 2, 3, 6}.  A polar scalar at any other angle stays in polar
+made with them is certain, not a float guess.  They contain the cosine
+and sine of every multiple of pi/6, which covers the angles k*pi/g for g
+in {1, 2, 3, 6}, and a positive multiple of the unit vector at every
+multiple of pi/12.  A polar scalar at any other angle stays in polar
 form: it has no rectangular form here, and nothing rounds it to one.
 
 Everything in this module is immutable and hashable.
@@ -316,14 +317,6 @@ _SIN_PI = {
     Fraction(5, 6): Q3(_HALF),
     Fraction(1): Q3(0),
 }
-# tan(k*pi/12) for k = 1..5; tangents stay in Q(sqrt 3) even for k = 3
-_TAN_PI_12 = {
-    1: Q3(2, -1),
-    2: Q3(0, Fraction(1, 3)),
-    3: Q3(1),
-    4: Q3(0, 1),
-    5: Q3(2, 1),
-}
 
 
 def cos_pi(f: Fraction) -> Q3 | None:
@@ -339,19 +332,17 @@ def sin_pi(f: Fraction) -> Q3 | None:
     return -v if f < 0 else v
 
 
-def tan_pi(f: Fraction) -> Q3 | None:
-    """Exact tan(f*pi) for f in (0, 1), f != 1/2, when the reduced
-    denominator divides 12; None otherwise."""
+def direction_pi(f: Fraction) -> SurdComplex | None:
+    """A positive multiple of exp(i*f*pi) when 12f is an integer, else None.
+    Odd multiples of pi/12 come from the pi/6-family angle f - 1/4: turning
+    c + i*s by pi/4 and scaling by sqrt(2) gives (c - s) + i*(c + s)."""
     f = as_fraction(f)
-    if not (0 < f < 1) or f == _HALF:
+    if (12 * f).denominator != 1:
         return None
-    if f > _HALF:
-        v = tan_pi(1 - f)
-        return None if v is None else -v
-    k = f * 12
-    if k.denominator != 1:
-        return None
-    return _TAN_PI_12.get(k.numerator)
+    if (6 * f).denominator == 1:
+        return SurdComplex(cos_pi(f), sin_pi(f))
+    c, s = cos_pi(f - Fraction(1, 4)), sin_pi(f - Fraction(1, 4))
+    return SurdComplex(c - s, c + s)
 
 
 @dataclass(frozen=True)

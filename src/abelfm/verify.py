@@ -482,19 +482,11 @@ def _check_corrupted_spec() -> CheckResult:
 
 
 def _convolved_charge(ctx, b, t, e, k) -> SurdComplex:
-    """Oracle: build e^(-(b+it)l) coefficientwise, convolve against the
-    truncated class, integrate, then quarter-turn.  Only shares scalar
-    arithmetic with the closed-form implementation."""
-    g = ctx.g
-    beta = SurdComplex(Q3(b), t)
-    series = [SurdComplex(Q3(1))]
-    for j in range(1, g + 1):
-        series.append(series[-1] * -beta * Fraction(1, j))
-    top = SurdComplex()
-    for i in range(min(k, g) + 1):
-        top = top + series[g - i] * e.c[i]
-    z = ctx.n * top
-    for _ in range((g - k) % 4):
+    """Oracle: the series convolution of _plain_truncated_integral, then the
+    quarter turn.  Only shares scalar arithmetic with the closed-form
+    implementation."""
+    z = _plain_truncated_integral(ctx, b, t, e, k)
+    for _ in range((ctx.g - k) % 4):
         z = z.times_i()
     return -z
 
@@ -645,8 +637,9 @@ def _check_slice_windows() -> CheckResult:
 
 
 def _plain_truncated_integral(ctx, b, t, e, k) -> SurdComplex:
-    """Truncated exponential pairing with no quarter turn and no negation."""
-    beta = SurdComplex(Q3(b), Q3(t))
+    """Oracle: build e^(-(b+it)l) coefficientwise, convolve against the
+    truncated class and integrate; no quarter turn and no negation."""
+    beta = SurdComplex(Q3(b), t)
     series = [SurdComplex(Q3(1))]
     for j in range(1, ctx.g + 1):
         series.append(series[-1] * -beta * Fraction(1, j))

@@ -16,6 +16,7 @@ from abelfm.cli import main
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 EXAMPLE = DATA / "example_scan.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 POINCARE2 = {"transform": {"g": 2, "nX": "2", "nY": "2", "r": 1, "dX": "0", "dY": "0"}}
 
@@ -193,6 +194,12 @@ def test_verify_verb(capsys):
     assert lines[-1].startswith("ok: ")
 
 
+def test_verify_all_matches_golden(capsys):
+    rc, out, _ = run(capsys, ["verify", "--suite", "all"])
+    assert rc == 0
+    assert out == (GOLDEN / "verify_all.txt").read_bytes().decode("utf-8")
+
+
 def test_usage_exit_codes(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
@@ -277,14 +284,19 @@ CHARGE_CFG = {
         (("charge", "b"), False, "1,0,0"),
         (("context", "n"), 2.0, "1,0,0"),
         (("context", "n"), True, "1,0,0"),
+        ("nested", None, "1,0,0"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cls):
     cfg = json.loads(json.dumps(CHARGE_CFG))
-    if leaf is not None:
+    if isinstance(leaf, tuple):
         cfg[leaf[0]][leaf[1]] = value
+    text = json.dumps(cfg)
+    if leaf == "nested":
+        # deeper than the JSON decoder's recursion limit
+        text = "[" * 100_000 + "]" * 100_000
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     rc, out, err = run(capsys, ["charge", "--config", str(path), "--class", cls])
     assert rc == 2
     assert out == ""

@@ -1,8 +1,11 @@
 """Wall scanner: exact sign-change detection, flags, emission formats."""
 
+import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelfm.lattice import AbelianContext, CohClass, line_bundle, skyscraper, structure_sheaf
 from abelfm.scan import (
@@ -206,3 +209,100 @@ def test_emit_empty_dataset_csv_header_only():
     o = structure_sheaf(ctx)
     ds = scan_walls(small_request([o], v=o))  # self-wall only: no cells
     assert emit_csv(ds) == "w,b,t\n"
+
+
+def _dense_reference(req):
+    """Plain-Fraction dense scan written independently of the library: store
+    the sign of W at every grid point, then test every cell with the
+    two-clause sign-change predicate."""
+    g, k, n = req.ctx.g, req.k, req.ctx.n
+    nb, nt = req.resolution
+    (b0, b1), (t0, t1) = req.b_range, req.t_range
+    bs = [b0 + (b1 - b0) * i / (nb - 1) for i in range(nb)]
+    ts = [t0 + (t1 - t0) * j / (nt - 1) for j in range(nt)]
+
+    def plain(cls, b, t):
+        # n * sum_{i <= k} c_i (-(b + it))^(g-i) / (g-i)! as (re, im)
+        re = im = F(0)
+        for i in range(k + 1):
+            pr, pi_ = F(1), F(0)
+            for _ in range(g - i):
+                pr, pi_ = -(pr * b - pi_ * t), -(pr * t + pi_ * b)
+            re += n * cls.c[i] * pr / factorial(g - i)
+            im += n * cls.c[i] * pi_ / factorial(g - i)
+        return re, im
+
+    vz = [[plain(req.v, b, t) for t in ts] for b in bs]
+    v_degenerate = all(z == (0, 0) for col in vz for z in col)
+    cells, trivial = [], []
+    for wi, w in enumerate(req.walls):
+        signs = []
+        for x, b in enumerate(bs):
+            col = []
+            for y, t in enumerate(ts):
+                (wr, wim), (vr, vim) = plain(w, b, t), vz[x][y]
+                val = wr * vim - vr * wim
+                col.append((val > 0) - (val < 0))
+            signs.append(col)
+        if all(sg == 0 for col in signs for sg in col):
+            trivial.append(wi)
+        for x in range(nb - 1):
+            for y in range(nt - 1):
+                quad = {signs[x][y], signs[x + 1][y], signs[x][y + 1], signs[x + 1][y + 1]}
+                has_pos, has_neg, has_zero = 1 in quad, -1 in quad, 0 in quad
+                if (has_pos and has_neg) or (has_zero and (has_pos or has_neg)):
+                    cells.append(WallCell(wi, bs[x], ts[y]))
+    return tuple(cells), tuple(trivial), v_degenerate
+
+
+coeff = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-1, 2), F(5, 3)])
+
+
+@st.composite
+def scan_requests(draw):
+    g = draw(st.integers(1, 4))
+    ctx = AbelianContext(g, draw(st.sampled_from([F(1), F(2), F(6), F(3, 2)])))
+    k = draw(st.integers(1, g))
+    cls = st.lists(coeff, min_size=g + 1, max_size=g + 1).map(lambda c: CohClass(ctx, tuple(c)))
+    v = draw(cls)
+    lam = draw(st.sampled_from([F(1), F(-2), F(3, 4)]))
+    walls = draw(st.lists(cls, max_size=2)) + [v.scale(lam), CohClass.zero(ctx)]
+    nb, nt = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    # lattice-aligned grids, often through b = 0, so that W has exact zeros
+    # on grid points and the zero-corner half of the predicate is exercised
+    db, dt = (draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(1), F(3, 2)])) for _ in "bt")
+    b0 = draw(st.integers(-nb, 1)) * db
+    t0 = draw(st.integers(1, 4)) * dt
+    return ScanRequest(
+        ctx=ctx,
+        k=k,
+        v=v,
+        walls=tuple(draw(st.permutations(walls))),
+        b_range=(b0, b0 + (nb - 1) * db),
+        t_range=(t0, t0 + (nt - 1) * dt),
+        resolution=(nb, nt),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_requests())
+def test_scan_matches_dense_reference(req):
+    # completeness as well as soundness: no cell missing, none extra
+    ds = scan_walls(req)
+    assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    # 90000 grid points: storing a value per point would take megabytes.
+    # g = 1 keeps the run short under tracemalloc's per-allocation cost.
+    ctx = AbelianContext(1, F(1))
+    o = structure_sheaf(ctx)
+    req = ScanRequest(ctx, 1, o, (o,), (F(-2), F(2)), (F(1, 100), F(2)), (300, 300))
+    tracemalloc.start()
+    try:
+        ds = scan_walls(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.trivial_walls == (0,)
+    assert peak < 2**20

@@ -1,8 +1,10 @@
 """Level-k charges, slopes, phases, polygons and the degree-three bound."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from abelfm.lattice import (
     AbelianContext,
@@ -25,7 +27,7 @@ from abelfm.stability import (
     slope,
     slope_cmp,
 )
-from abelfm.surd import Q3, SurdComplex
+from abelfm.surd import Q3, SurdComplex, direction_pi
 from abelfm.transform import ShiftedClass
 
 F = Fraction
@@ -156,6 +158,67 @@ def test_phase_cmp_exact_at_twelfths():
     # non-twelfth bounds take the float path but stay correct
     assert phase_cmp(spec, a, F(1, 5)) == 1
     assert phase_cmp(spec, a, F(2, 5)) == -1
+
+
+def test_phase_cmp_exact_beside_a_twelfth():
+    # Z = 2 + i(4 + 2 sqrt3) has phase exactly 5/12; bounds 1e-20 away are
+    # below float resolution and are decided by the twelfth itself
+    c1 = AbelianContext(1, F(1))
+    spec = ChargeSpec(c1, 1, F(0), Q3(4, 2))
+    e = CohClass(c1, (F(1), F(-2)))
+    eps = F(1, 10**20)
+    assert phase_cmp(spec, e, F(5, 12)) == 0
+    assert phase_cmp(spec, e, F(5, 12) - eps) == 1
+    assert phase_cmp(spec, e, F(5, 12) + eps) == -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j=st.integers(1, 11),
+    lam=st.fractions(F(1, 50), F(50)),
+    digits=st.integers(1, 40),
+    side=st.sampled_from([-1, 0, 1]),
+    shift=st.integers(-2, 2),
+)
+def test_phase_cmp_at_twelfth_phases(j, lam, digits, side, shift):
+    # a charge whose phase is exactly j/12, compared against bounds any
+    # distance above or below it
+    d = direction_pi(F(j, 12))
+    # a positive multiple of d with a rational real part
+    mu = Q3(d.re.r, -d.re.s) if d.re.s else Q3(1)
+    mu = mu if mu.sign() > 0 else -mu
+    z = SurdComplex(mu * d.re * lam, mu * d.im * lam)
+    assert z.re.is_rational and z.im.sign() > 0
+    c1 = AbelianContext(1, F(1))
+    spec = ChargeSpec(c1, 1, F(0), z.im)
+    e = ShiftedClass(CohClass(c1, (F(1), -z.re.r)), shift)
+    bound = F(j, 12) + shift + side * F(1, 10**digits)
+    assert phase_cmp(spec, e, bound) == -side
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c0=st.integers(1, 4),
+    c1=st.fractions(F(-9), F(9), max_denominator=7),
+    b=st.fractions(F(-3), F(3), max_denominator=5),
+    t=st.tuples(st.fractions(F(0), F(4), max_denominator=5), st.fractions(F(0), F(3), max_denominator=5)),
+    bound=st.one_of(
+        st.fractions(F(-1, 4), F(5, 4), max_denominator=60),
+        st.integers(-1, 13).map(lambda j: F(j, 12) + F(1, 10**6)),
+        st.integers(-1, 13).map(lambda j: F(j, 12) - F(1, 10**6)),
+    ),
+)
+def test_phase_cmp_matches_float_reference(c0, c1, b, t, bound):
+    tq = Q3(*t)
+    assume(tq.sign() > 0)
+    ctx = AbelianContext(1, F(1))
+    spec = ChargeSpec(ctx, 1, b, tq)
+    e = CohClass(ctx, (F(c0), c1))  # Z = c0*(b + i t) - c1, upper half-plane
+    z = charge(spec, e)
+    base = math.atan2(float(z.im), float(z.re)) / math.pi
+    diff = base - float(bound)
+    assume(abs(diff) >= 1e-9)  # closer is beyond the float reference
+    assert phase_cmp(spec, e, bound) == (1 if diff > 0 else -1)
 
 
 def test_phase_cmp_boundary_values():

@@ -1,5 +1,6 @@
 """Exact scalar tower: Q(sqrt 3), its complexification, polar scalars."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,9 @@ from abelfm.surd import (
     SurdComplex,
     as_fraction,
     cos_pi,
+    direction_pi,
     normalize_angle,
     sin_pi,
-    tan_pi,
 )
 
 H = Fraction(1, 2)
@@ -126,13 +127,33 @@ def test_trig_table_rejects_outside_field():
     ],
 )
 def test_tan_table(f, t):
-    assert tan_pi(f) == t
+    # the tangent of each twelfth is the slope of its direction
+    d = direction_pi(f)
+    assert d.im / d.re == t
 
 
 def test_tan_table_domain():
-    assert tan_pi(Fraction(1, 2)) is None
-    assert tan_pi(Fraction(1, 24)) is None
-    assert tan_pi(Fraction(0)) is None
+    assert direction_pi(Fraction(1, 2)).re == 0  # no tangent, still a direction
+    assert direction_pi(Fraction(0)).im == 0
+    assert direction_pi(Fraction(1, 24)) is None
+    assert direction_pi(Fraction(1, 5)) is None
+
+
+@pytest.mark.parametrize("j", range(-24, 25))
+def test_direction_pi_points_along_the_unit_vector(j):
+    f = Fraction(j, 12)
+    d = direction_pi(f)
+    if (6 * f).denominator == 1:
+        assert d == SurdComplex(cos_pi(f), sin_pi(f))
+    # d * d is a positive multiple of the direction at 2f: exact cross
+    # product zero and positive dot product
+    d2, e = d * d, direction_pi(2 * f)
+    assert (d2.re * e.im - d2.im * e.re).sign() == 0
+    assert (d2.re * e.re + d2.im * e.im).sign() == 1
+    # and d itself points along (cos, sin) of f*pi, not its negative
+    c, s = math.cos(math.pi * f), math.sin(math.pi * f)
+    assert abs(float(d.re) * s - float(d.im) * c) < 1e-12
+    assert float(d.re) * c + float(d.im) * s > 0
 
 
 def test_polar_scalar_power_and_inverse():
