@@ -26,6 +26,11 @@ from .stability import ChargeSpec
 from .transform import FMTransformSpec
 
 
+# Requests past these caps are refused before anything is allocated for them.
+MAX_G = 100  # dimension g of a context or transform
+MAX_RESOLUTION = 10_000  # grid points on each scan axis
+
+
 class ConfigError(ValueError):
     """Malformed or incomplete configuration."""
 
@@ -78,18 +83,26 @@ def _int(block: dict, key: str, where: str) -> int:
     return val
 
 
+def _dim(g: int, where: str) -> int:
+    if g > MAX_G:
+        raise ConfigError(f"{where}.g: {g} exceeds the limit of {MAX_G}")
+    return g
+
+
 def context_from(cfg: dict) -> AbelianContext:
     block = _block(cfg, "context")
     label = block.get("label", "")
     try:
-        return AbelianContext(_int(block, "g", "context"), _rat(block, "n", "context"), label)
+        ctx = AbelianContext(_int(block, "g", "context"), _rat(block, "n", "context"), label)
     except ValueError as exc:
         raise ConfigError(f"context: {exc}") from None
+    _dim(ctx.g, "context")
+    return ctx
 
 
 def transform_from(cfg: dict) -> FMTransformSpec:
     block = _block(cfg, "transform")
-    g = _int(block, "g", "transform")
+    g = _dim(_int(block, "g", "transform"), "transform")
     try:
         src = AbelianContext(g, _rat(block, "nX", "transform"), block.get("labelX", "X"))
         dst = AbelianContext(g, _rat(block, "nY", "transform"), block.get("labelY", "Y"))
@@ -144,6 +157,11 @@ def scan_from(cfg: dict, ctx: AbelianContext) -> ScanRequest:
     res = _need(block, "resolution", "scan")
     if not (isinstance(res, list) and len(res) == 2):
         raise ConfigError("scan.resolution: want a two-element list")
+    for n in res:
+        if isinstance(n, int) and n > MAX_RESOLUTION:
+            raise ConfigError(
+                f"scan.resolution: {n} points exceeds the limit of {MAX_RESOLUTION} per axis"
+            )
     try:
         return ScanRequest(
             ctx=ctx,

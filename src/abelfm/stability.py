@@ -31,19 +31,13 @@ from math import atan2, factorial, floor, pi
 from typing import Sequence
 
 from .lattice import AbelianContext, CohClass, twist
-from .surd import Q3, SurdComplex, as_fraction, direction_pi
+from .surd import Q3, SurdComplex, as_fraction, as_q3, direction_pi
 from .transform import ShiftedClass
 
 
 class HeartValueError(ValueError):
     """A charge value incompatible with a heart: open lower half-plane or
     the positive real axis."""
-
-
-def _q3(x) -> Q3:
-    if isinstance(x, Q3):
-        return x
-    return Q3(as_fraction(x))
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class ChargeSpec:
         if not 1 <= self.k <= self.ctx.g:
             raise ValueError(f"level k must lie in 1..{self.ctx.g}, got {self.k}")
         object.__setattr__(self, "b", as_fraction(self.b))
-        object.__setattr__(self, "t", _q3(self.t))
+        object.__setattr__(self, "t", as_q3(self.t))
         if self.t.sign() <= 0:
             raise ValueError(f"omega scale t must be positive, got {self.t}")
 
@@ -81,9 +75,15 @@ def charge_poly(ctx: AbelianContext, e: CohClass, k: int) -> list[Fraction]:
     in beta: a_m = n * c_(g-m) * (-1)^m / m! when g - m <= k, else 0."""
     if not e.ctx.matches(ctx):
         raise ValueError("charge_poly: class context does not match")
-    g = ctx.g
+    g, n = ctx.g, ctx.n
+    # one Fraction per coefficient, so one gcd instead of three products
     return [
-        ctx.n * e.c[g - m] * (-1) ** m / factorial(m) if g - m <= k else Fraction(0)
+        Fraction(
+            (-1) ** m * n.numerator * e.c[g - m].numerator,
+            n.denominator * e.c[g - m].denominator * factorial(m),
+        )
+        if g - m <= k
+        else Fraction(0)
         for m in range(g + 1)
     ]
 
@@ -308,7 +308,7 @@ def bg_check(ctx: AbelianContext, b, t, e: CohClass) -> BGVerdict:
     if not e.ctx.matches(ctx):
         raise ValueError("bg_check: class context does not match")
     b = as_fraction(b)
-    t = _q3(t)
+    t = as_q3(t)
     if t.sign() <= 0:
         raise ValueError(f"omega scale t must be positive, got {t}")
     tw = twist(e, b)

@@ -10,16 +10,22 @@ in {1, 2, 3, 6}, and a positive multiple of the unit vector at every
 multiple of pi/12.  A polar scalar at any other angle stays in polar
 form: it has no rectangular form here, and nothing rounds it to one.
 
+A Q3 is stored as one integer triple (a, b, d) standing for
+(a + b*sqrt 3)/d, with d > 0 and gcd(a, b, d) = 1.  That form is unique, so
+equality compares triples, and each arithmetic result is brought to it by a
+single integer gcd.  The rational parts r and s are Fraction views of the
+triple.
+
 Everything in this module is immutable and hashable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isinf, isnan, lcm, sqrt
 
-_SQRT3 = math.sqrt(3.0)
+_SQRT3 = sqrt(3.0)
 
 
 def as_fraction(x) -> Fraction:
@@ -31,123 +37,168 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
-@dataclass(frozen=True)
+def _parts(x) -> "tuple[int, int, int] | None":
+    """The canonical (a, b, d) of an int, Fraction or Q3; None otherwise."""
+    t = type(x)
+    if t is Q3:
+        return x._abd
+    if t is int:
+        return (x, 0, 1)
+    if t is Fraction:
+        return (x.numerator, 0, x.denominator)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return (int(x.numerator), 0, int(x.denominator))
+    return None
+
+
+def _quotient(n: tuple[int, int, int], m: tuple[int, int, int]) -> "Q3":
+    """n/m for canonical triples: multiply by the conjugate of m, whose
+    norm a^2 - 3b^2 vanishes only at zero because sqrt 3 is irrational."""
+    a1, b1, d1 = n
+    a2, b2, d2 = m
+    norm = a2 * a2 - 3 * b2 * b2
+    if not norm:
+        raise ZeroDivisionError("division by zero in Q(sqrt 3)")
+    a, b, d = d2 * (a1 * a2 - 3 * b1 * b2), d2 * (b1 * a2 - a1 * b2), d1 * norm
+    if d < 0:
+        a, b, d = -a, -b, -d
+    return Q3._new(a, b, d)
+
+
 class Q3:
-    """The value r + s*sqrt(3) with exact rational r and s."""
+    """The value r + s*sqrt(3) with exact rational r and s, stored as the
+    integer triple (a, b, d) of (a + b*sqrt 3)/d with d > 0 and
+    gcd(a, b, d) = 1.  The triple is unique, so equality compares it."""
 
-    r: Fraction = Fraction(0)
-    s: Fraction = Fraction(0)
+    __slots__ = ("_abd",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", as_fraction(self.r))
-        object.__setattr__(self, "s", as_fraction(self.s))
+    def __new__(cls, r=0, s=0):
+        r, s = as_fraction(r), as_fraction(s)
+        d = lcm(r.denominator, s.denominator)
+        return Q3._new(r.numerator * (d // r.denominator), s.numerator * (d // s.denominator), d)
+
+    @staticmethod
+    def _new(a: int, b: int, d: int) -> "Q3":
+        """(a + b*sqrt 3)/d for integers with d > 0, reduced by one gcd."""
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        q = _object_new(Q3)
+        _set_abd(q, (a, b, d))
+        return q
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Q3 is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Q3 is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Q3, (self.r, self.s))
+
+    @property
+    def r(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def s(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     @property
     def is_rational(self) -> bool:
-        return self.s == 0
+        return self._abd[1] == 0
 
     def sign(self) -> int:
-        r, s = self.r, self.s
-        if s == 0:
-            return 0 if r == 0 else (1 if r > 0 else -1)
-        if r == 0:
-            return 1 if s > 0 else -1
-        if (r > 0) == (s > 0):
-            return 1 if r > 0 else -1
-        # opposite signs: |r| vs |s|*sqrt(3); sqrt(3) irrational so no ties
-        if r * r > 3 * s * s:
-            return 1 if r > 0 else -1
-        return 1 if s > 0 else -1
-
-    @staticmethod
-    def _coerce(other) -> "Q3 | None":
-        if isinstance(other, Q3):
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Q3(Fraction(other))
-        return None
+        a, b, _ = self._abd
+        if not b:
+            return (a > 0) - (a < 0)
+        # b*sqrt(3) decides unless a has the other sign and is larger;
+        # |a| = |b|*sqrt(3) cannot happen because sqrt(3) is irrational
+        if (a > 0) != (b > 0) and a * a > 3 * b * b:
+            return 1 if a > 0 else -1
+        return 1 if b > 0 else -1
 
     def __add__(self, other):
-        o = Q3._coerce(other)
+        o = other._abd if type(other) is Q3 else _parts(other)
         if o is None:
             return NotImplemented
-        return Q3(self.r + o.r, self.s + o.s)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = o
+        if d1 == d2:
+            return Q3._new(a1 + a2, b1 + b2, d1)
+        return Q3._new(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Q3._coerce(other)
+        o = other._abd if type(other) is Q3 else _parts(other)
         if o is None:
             return NotImplemented
-        return Q3(self.r - o.r, self.s - o.s)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = o
+        if d1 == d2:
+            return Q3._new(a1 - a2, b1 - b2, d1)
+        return Q3._new(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
-        o = Q3._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return Q3(o.r - self.r, o.s - self.s)
+        return Q3._new(*o) - self
 
     def __mul__(self, other):
-        o = Q3._coerce(other)
+        o = other._abd if type(other) is Q3 else _parts(other)
         if o is None:
             return NotImplemented
-        return Q3(self.r * o.r + 3 * self.s * o.s, self.r * o.s + self.s * o.r)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = o
+        if not (b1 or b2):
+            return Q3._new(a1 * a2, 0, d1 * d2)
+        return Q3._new(a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "Q3":
-        norm = self.r * self.r - 3 * self.s * self.s
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return Q3(self.r / norm, -self.s / norm)
-
     def __truediv__(self, other):
-        o = Q3._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self * o._inverse()
+        return _quotient(self._abd, o)
 
     def __rtruediv__(self, other):
-        o = Q3._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o * self._inverse()
+        return _quotient(o, self._abd)
 
     def __neg__(self):
-        return Q3(-self.r, -self.s)
+        a, b, d = self._abd
+        return Q3._new(-a, -b, d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = Q3(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
-        o = Q3._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.r == o.r and self.s == o.s
+        return self._abd == o
 
     def __hash__(self):
         # rational values must hash like their Fraction counterparts
-        return hash(self.r) if self.s == 0 else hash((self.r, self.s))
+        return hash(self.r) if self.is_rational else hash((self.r, self.s))
 
     def _cmp(self, other) -> int | None:
         if isinstance(other, float):
-            if math.isinf(other):
+            if isinf(other):
                 return -1 if other > 0 else 1
-            if math.isnan(other):
+            if isnan(other):
                 return None
             other = Fraction(other)  # floats are exact binary rationals
-        o = Q3._coerce(other)
-        if o is None:
+        if _parts(other) is None:
             return None
-        return (self - o).sign()
+        return (self - other).sign()
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -177,61 +228,84 @@ class Q3:
         return self.sign() != 0
 
     def __float__(self):
-        return float(self.r) + float(self.s) * _SQRT3
+        a, b, d = self._abd
+        return a / d + b / d * _SQRT3
+
+    def __repr__(self):
+        return f"Q3(r={self.r!r}, s={self.s!r})"
 
     def __str__(self):
-        if self.s == 0:
-            return str(self.r)
-        if self.r == 0:
-            return f"{self.s}*sqrt3"
-        sep = "+" if self.s > 0 else "-"
-        return f"{self.r}{sep}{abs(self.s)}*sqrt3"
+        r, s = self.r, self.s
+        if s == 0:
+            return str(r)
+        if r == 0:
+            return f"{s}*sqrt3"
+        sep = "+" if s > 0 else "-"
+        return f"{r}{sep}{abs(s)}*sqrt3"
 
 
-def _q3(x) -> Q3:
-    v = Q3._coerce(x)
-    if v is None:
+_object_new = object.__new__
+_set_abd = Q3.__dict__["_abd"].__set__
+_Q3_ZERO = Q3()
+
+
+def as_q3(x) -> Q3:
+    """Coerce a Q3, int or Fraction to Q3, rejecting floats and bools."""
+    o = _parts(x)
+    if o is None:
         raise TypeError(f"expected Q3 or exact rational, got {x!r}")
-    return v
+    return x if type(x) is Q3 else Q3._new(*o)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurdComplex:
     """Complex number with real and imaginary parts in Q(sqrt 3)."""
 
-    re: Q3 = Q3()
-    im: Q3 = Q3()
+    re: Q3 = _Q3_ZERO
+    im: Q3 = _Q3_ZERO
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _q3(self.re))
-        object.__setattr__(self, "im", _q3(self.im))
+        object.__setattr__(self, "re", as_q3(self.re))
+        object.__setattr__(self, "im", as_q3(self.im))
+
+    @staticmethod
+    def _new(re: Q3, im: Q3) -> "SurdComplex":
+        """re + i*im for parts already in Q3, without the coercion pass."""
+        z = _object_new(SurdComplex)
+        _set_re(z, re)
+        _set_im(z, im)
+        return z
 
     @property
     def is_zero(self) -> bool:
         return self.re.sign() == 0 and self.im.sign() == 0
 
     def conj(self) -> "SurdComplex":
-        return SurdComplex(self.re, -self.im)
+        return SurdComplex._new(self.re, -self.im)
 
     def times_i(self) -> "SurdComplex":
-        return SurdComplex(-self.im, self.re)
+        return SurdComplex._new(-self.im, self.re)
 
     def norm2(self) -> Q3:
         return self.re * self.re + self.im * self.im
 
     @staticmethod
     def _coerce(other) -> "SurdComplex | None":
-        if isinstance(other, SurdComplex):
+        t = type(other)
+        if t is SurdComplex:
             return other
-        if isinstance(other, (Q3, int, Fraction)) and not isinstance(other, bool):
-            return SurdComplex(_q3(other), Q3())
-        return None
+        if t is Q3:
+            return SurdComplex._new(other, _Q3_ZERO)
+        o = _parts(other)
+        return None if o is None else SurdComplex._new(Q3._new(*o), _Q3_ZERO)
 
     def __add__(self, other):
         o = SurdComplex._coerce(other)
         if o is None:
             return NotImplemented
-        return SurdComplex(self.re + o.re, self.im + o.im)
+        if o.im is _Q3_ZERO:  # a real operand: coercion shares this zero
+            return SurdComplex._new(self.re + o.re, self.im)
+        return SurdComplex._new(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -239,19 +313,21 @@ class SurdComplex:
         o = SurdComplex._coerce(other)
         if o is None:
             return NotImplemented
-        return SurdComplex(self.re - o.re, self.im - o.im)
+        return SurdComplex._new(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = SurdComplex._coerce(other)
         if o is None:
             return NotImplemented
-        return SurdComplex(o.re - self.re, o.im - self.im)
+        return SurdComplex._new(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = SurdComplex._coerce(other)
         if o is None:
             return NotImplemented
-        return SurdComplex(
+        if o.im is _Q3_ZERO:  # a real factor: two products, not four
+            return SurdComplex._new(self.re * o.re, self.im * o.re)
+        return SurdComplex._new(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -266,7 +342,7 @@ class SurdComplex:
         if n2.sign() == 0:
             raise ZeroDivisionError("complex division by zero")
         num = self * o.conj()
-        return SurdComplex(num.re / n2, num.im / n2)
+        return SurdComplex._new(num.re / n2, num.im / n2)
 
     def __rtruediv__(self, other):
         o = SurdComplex._coerce(other)
@@ -275,7 +351,7 @@ class SurdComplex:
         return o / self
 
     def __neg__(self):
-        return SurdComplex(-self.re, -self.im)
+        return SurdComplex._new(-self.re, -self.im)
 
     def __eq__(self, other):
         o = SurdComplex._coerce(other)
@@ -289,6 +365,10 @@ class SurdComplex:
     def __str__(self):
         sep = "+" if self.im.sign() >= 0 else "-"
         return f"({self.re}) {sep} ({abs(self.im)})*i"
+
+
+_set_re = SurdComplex.__dict__["re"].__set__
+_set_im = SurdComplex.__dict__["im"].__set__
 
 
 def normalize_angle(a: Fraction) -> Fraction:

@@ -303,6 +303,31 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cl
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "verb,cfg,expect",
+    [
+        ("charge", {"context": {"g": 3000, "n": "1"}, "charge": {"k": 1, "b": "0", "t": "1"}},
+         "error: context.g: 3000 exceeds the limit of 100"),
+        ("walls", {"context": {"g": 2, "n": "2"},
+                   "scan": {"k": 2, "v": "1,0,0", "walls": ["0,0,1/2"], "b_range": ["-2", "2"],
+                            "t_range": ["1/100", "2"], "resolution": [2, 100_000_000]}},
+         "error: scan.resolution: 100000000 points exceeds the limit of 10000 per axis"),
+    ],
+)
+def test_oversized_request_exits_2_with_one_line(capsys, tmp_path, monkeypatch, verb, cfg, expect):
+    import abelfm.scan
+
+    def no_scan(req):
+        raise AssertionError("an oversized scan was started")
+
+    monkeypatch.setattr(abelfm.scan, "scan_walls", no_scan)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = [verb, "--config", str(path)] + (["--class", "1"] if verb == "charge" else [])
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (2, "", expect + "\n")
+
+
 FLOAT_LITERAL = re.compile(r"\d\.\d|\d[eE][-+]?\d|\b(nan|inf)\b")
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from abelfm.config import (
+    MAX_G,
+    MAX_RESOLUTION,
     ConfigError,
     charge_from,
     class_from,
@@ -198,3 +200,36 @@ def test_scan_from_errors():
     # range direction is domain validation, reported under the block
     with pytest.raises(ConfigError, match="scan:"):
         scan_from(scan_block(t_range=["2", "1/100"]), ctx)
+
+
+@pytest.mark.parametrize("g", [MAX_G + 1, 3000, 10**100])
+def test_dimension_cap_refuses_before_building(g):
+    # the refusal is the ConfigError alone: nothing of size g is built
+    with pytest.raises(ConfigError, match=f"context.g: {g} exceeds the limit of {MAX_G}"):
+        context_from({"context": {"g": g, "n": "1"}})
+    with pytest.raises(ConfigError, match=f"transform.g: {g} exceeds the limit of {MAX_G}"):
+        transform_from({"transform": dict(TRANSFORM, g=g)})
+
+
+def test_dimension_cap_admits_the_limit():
+    assert context_from({"context": {"g": MAX_G, "n": "1"}}).g == MAX_G
+
+
+@pytest.mark.parametrize(
+    "res", [[2, MAX_RESOLUTION + 1], [100_000_000, 2], [2, 100_000_000], [10**100, 10**100]]
+)
+def test_resolution_cap_refuses_before_the_grid(res):
+    ctx = AbelianContext(2, F(2), "X")
+    big = max(res)
+    with pytest.raises(
+        ConfigError,
+        match=f"scan.resolution: {big} points exceeds the limit of {MAX_RESOLUTION} per axis",
+    ):
+        scan_from(scan_block(resolution=res), ctx)
+
+
+def test_resolution_cap_admits_the_limit():
+    # a request only records the resolution; no grid is built here
+    ctx = AbelianContext(2, F(2), "X")
+    req = scan_from(scan_block(resolution=[MAX_RESOLUTION, MAX_RESOLUTION]), ctx)
+    assert req.resolution == (MAX_RESOLUTION, MAX_RESOLUTION)

@@ -1,6 +1,8 @@
 """Exact scalar tower: Q(sqrt 3), its complexification, polar scalars."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,148 @@ def test_surd_complex_arithmetic():
     assert w == SurdComplex(Q3(4))
     assert z.times_i() == SurdComplex(Q3(0, -1), Q3(1))
     assert (z / z) == SurdComplex(Q3(1))
+
+
+# Exact property tests against a plain (Fraction, Fraction) reference.
+# Numerators reach 10^30 and denominators 10^6; near_conjugates puts
+# r + s*sqrt3 within about 10^-36 of zero while |r| is near 10^30.
+
+big_fractions = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+
+
+@st.composite
+def near_conjugates(draw):
+    """(r, s) with r within 1/q of -s*sqrt3, so r and s*sqrt3 nearly cancel."""
+    s = draw(big_fractions)
+    q = draw(st.integers(1, 10**6))
+    a = math.isqrt(3 * (s.numerator * q) ** 2) // s.denominator  # about |s|*sqrt3*q
+    a = a if s >= 0 else -a
+    return (Fraction(-a + draw(st.integers(-1, 1)), q), s)
+
+
+pairs = st.one_of(st.tuples(big_fractions, big_fractions), near_conjugates())
+
+
+def ref_mul(x, y):
+    (r1, s1), (r2, s2) = x, y
+    return (r1 * r2 + 3 * s1 * s2, r1 * s2 + s1 * r2)
+
+
+def ref_div(x, y):
+    r2, s2 = y
+    norm = r2 * r2 - 3 * s2 * s2
+    r, s = ref_mul(x, (r2, -s2))
+    return (r / norm, s / norm)
+
+
+def ref_sign(x):
+    """Exact sign of r + s*sqrt3, written as (a + b*sqrt3)/D with D > 0,
+    from m = isqrt(3b^2): m < |b|*sqrt3 < m + 1 when b != 0."""
+    r, s = x
+    a, b = r.numerator * s.denominator, s.numerator * r.denominator
+    if b == 0:
+        return (a > 0) - (a < 0)
+    m = math.isqrt(3 * b * b)
+    if b > 0:
+        return 1 if -a <= m else -1
+    return 1 if a > m else -1
+
+
+def ref_str(x):
+    r, s = x
+    if s == 0:
+        return str(r)
+    if r == 0:
+        return f"{s}*sqrt3"
+    return f"{r}{'+' if s > 0 else '-'}{abs(s)}*sqrt3"
+
+
+def as_pair(q):
+    return (q.r, q.s)
+
+
+def assert_canonical(q):
+    a, b, d = q._abd
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert as_pair(q) == (Fraction(a, d), Fraction(b, d))
+
+
+@given(pairs, pairs)
+def test_q3_arithmetic_matches_fraction_pairs(x, y):
+    p, q = Q3(*x), Q3(*y)
+    cases = [
+        (p, x),
+        (p + q, (x[0] + y[0], x[1] + y[1])),
+        (p - q, (x[0] - y[0], x[1] - y[1])),
+        (p * q, ref_mul(x, y)),
+        (-p, (-x[0], -x[1])),
+        (x[0] + q, (x[0] + y[0], y[1])),
+        (x[0] - q, (x[0] - y[0], -y[1])),
+        (q * x[0], (y[0] * x[0], y[1] * x[0])),
+    ]
+    if y != (0, 0):
+        cases.append((p / q, ref_div(x, y)))
+        cases.append((x[0] / q, ref_div((x[0], Fraction(0)), y)))
+    for got, want in cases:
+        assert_canonical(got)
+        assert as_pair(got) == want
+        assert got.sign() == ref_sign(want)
+        assert str(got) == ref_str(want)
+    assert (p == q) == (x == y)
+    assert (p == x[0]) == (x[1] == 0)
+    back = (p + q) - q  # the same value by another route
+    assert back == p and hash(back) == hash(p)
+    if x[1] == 0:
+        assert hash(p) == hash(x[0])
+    if y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            p / q
+
+
+@given(pairs, pairs, pairs, pairs)
+def test_surd_complex_mul_div_match_fraction_pairs(a, b, c, d):
+    z = SurdComplex(Q3(*a), Q3(*b))
+    w = SurdComplex(Q3(*c), Q3(*d))
+    re = tuple(u - v for u, v in zip(ref_mul(a, c), ref_mul(b, d)))
+    im = tuple(u + v for u, v in zip(ref_mul(a, d), ref_mul(b, c)))
+    prod = z * w
+    assert (as_pair(prod.re), as_pair(prod.im)) == (re, im)
+    for part in (prod.re, prod.im):
+        assert_canonical(part)
+    # a real factor, Fraction or Q3, either way round
+    for real, pair in ((c[0], (c[0], Fraction(0))), (Q3(*c), c)):
+        for got in (z * real, real * z):
+            assert (as_pair(got.re), as_pair(got.im)) == (ref_mul(a, pair), ref_mul(b, pair))
+    if w.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            z / w
+        return
+    # z / w = z * conj(w) / |w|^2
+    n2 = tuple(u + v for u, v in zip(ref_mul(c, c), ref_mul(d, d)))
+    nre = tuple(u + v for u, v in zip(ref_mul(a, c), ref_mul(b, d)))
+    nim = tuple(u - v for u, v in zip(ref_mul(b, c), ref_mul(a, d)))
+    quo = z / w
+    assert (as_pair(quo.re), as_pair(quo.im)) == (ref_div(nre, n2), ref_div(nim, n2))
+    assert quo * w == z
+
+
+def test_q3_is_canonical_and_immutable():
+    a, b = Q3(Fraction(2, 4), Fraction(6, 8)), Q3(Fraction(1, 2), Fraction(3, 4))
+    assert a == b and hash(a) == hash(b) and a._abd == (2, 3, 4)
+    assert (Q3(Fraction(1, 6), Fraction(1, 6)) * 3)._abd == (1, 1, 2)
+    assert (Q3(Fraction(1, 2), Fraction(-1, 2)) - Q3(Fraction(1, 2), Fraction(-1, 2)))._abd == (0, 0, 1)
+    # (1 + sqrt3)/(sqrt3 - 1) divides by the norm -2: the sign moves up
+    assert (Q3(1, 1) / Q3(-1, 1))._abd == (2, 1, 1)
+    for name in ("r", "s", "_abd", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, Fraction(1))
+    with pytest.raises(AttributeError):
+        del a._abd
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(TypeError):
+        Q3(0.5)
+    with pytest.raises(TypeError):
+        Q3(1, True)
 
 
 def test_normalize_angle_window():
