@@ -54,9 +54,9 @@ def _warn_chi(ctx) -> None:
 def _cmd_charge(args) -> int:
     cfg = config.load_config(args.config)
     ctx = config.context_from(cfg)
-    _warn_chi(ctx)
     spec = config.charge_from(cfg, ctx, args.k)
     e = config.class_from(ctx, args.cls)
+    _warn_chi(ctx)  # after parsing, so malformed input gets one stderr line
     z = stability.charge(spec, e)
     print(f"k = {spec.k}, b = {format_rational(spec.b)}, t = {spec.t}")
     print(f"Z = {z}")
@@ -117,8 +117,8 @@ def _cmd_params(args) -> int:
 def _cmd_walls(args) -> int:
     cfg = config.load_config(args.config)
     ctx = config.context_from(cfg)
-    _warn_chi(ctx)
     req = config.scan_from(cfg, ctx)
+    _warn_chi(ctx)
     ds = scan.scan_walls(req)
     status = 0
     if args.recheck:

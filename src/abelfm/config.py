@@ -39,10 +39,12 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
     except RecursionError:
         raise ConfigError(f"config {path}: invalid JSON (nested too deeply)") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text ({exc})") from None
+    except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
+        raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     return raw

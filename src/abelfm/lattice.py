@@ -11,6 +11,12 @@ exponentials, B-field twists, the degree-alternating dual, the pairing
 <a, b> = -integral(dual(a) * b), and the factorial-rescaled coordinates
 used by the transform module.
 
+Products run on one private integer kernel, shared with the transform
+module: `_ints` writes a coefficient tuple as integer numerators over one
+common denominator, `_exp_ints` does the same for a divided-power
+exponential, `_conv` is the truncated product of two numerator lists, and
+`_from_ints` builds one `Fraction` per output coefficient.
+
 All types are frozen dataclasses and all operations are pure functions.
 """
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .surd import as_fraction
 
@@ -151,19 +157,46 @@ class VVector:
         object.__setattr__(self, "v", entries)
 
 
+def _ints(xs) -> tuple[list[int], int]:
+    """Integer numerators of the rationals xs over one common denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _exp_ints(d: Fraction, g: int) -> tuple[list[int], int]:
+    """Numerators of e^{d*l} = sum d^i/i! l^i over the denominator q^g g!,
+    where d = p/q; the i-th numerator is p^i q^(g-i) g!/i!."""
+    p, q = d.numerator, d.denominator
+    den = q**g * factorial(g)
+    out = [den]
+    for i in range(1, g + 1):
+        out.append(out[-1] * p // (q * i))  # exact: q and i divide it
+    return out, den
+
+
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    """Product of two numerator lists of equal length g + 1, truncated above
+    degree g."""
+    g = len(a) - 1
+    out = [0] * (g + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(g + 1 - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _from_ints(ctx: AbelianContext, nums: list[int], den: int) -> CohClass:
+    """The class with coefficients nums[i] / den."""
+    return CohClass(ctx, tuple(Fraction(x, den) for x in nums))
+
+
 def mul(a: CohClass, b: CohClass) -> CohClass:
     """Cup product, truncated above degree g."""
     _require_match(a.ctx, b.ctx, "mul")
-    g = a.ctx.g
-    out = [Fraction(0)] * (g + 1)
-    for i, ai in enumerate(a.c):
-        if ai == 0:
-            continue
-        for j in range(g + 1 - i):
-            bj = b.c[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return CohClass(a.ctx, tuple(out))
+    na, da = _ints(a.c)
+    nb, db = _ints(b.c)
+    return _from_ints(a.ctx, _conv(na, nb), da * db)
 
 
 def integrate(a: CohClass) -> Fraction:
@@ -173,13 +206,14 @@ def integrate(a: CohClass) -> Fraction:
 
 def exp_div(b, ctx: AbelianContext) -> CohClass:
     """Divided-power exponential e^{b*l} = sum b^i/i! * l^i, truncated."""
-    b = as_fraction(b)
-    return CohClass(ctx, tuple(b**i / factorial(i) for i in range(ctx.g + 1)))
+    return _from_ints(ctx, *_exp_ints(as_fraction(b), ctx.g))
 
 
 def twist(a: CohClass, b) -> CohClass:
     """B-field twist ch^B = e^{-b*l} * a for B = b*l."""
-    return mul(exp_div(-as_fraction(b), a.ctx), a)
+    ne, de = _exp_ints(-as_fraction(b), a.ctx.g)
+    na, da = _ints(a.c)
+    return _from_ints(a.ctx, _conv(ne, na), de * da)
 
 
 def mukai_dual(a: CohClass) -> CohClass:

@@ -10,10 +10,15 @@ enforces that identity exactly.
 
 On the rank-one lattice the action is an antidiagonal matrix in the
 factorial-rescaled coordinates taken with twist -d_X on the source, followed
-by a twist d_Y on the target.  The composite of a transform with its reverse
-acts as (-1)^g times the identity, which pins down all sign and shift
-conventions used here; the quasi-inverse therefore carries an explicit
-homological shift by g.
+by a twist d_Y on the target (`antidiag_matrix` between `lattice.v_vector`
+and `lattice.from_v_vector`).  `apply` computes the same map in one fused
+pass on the lattice's integer kernel, e -> e^{d_Y l} * R(e^{d_X l} * e),
+where R is the scaled reversal R(c)_i = (g!/r)(-1)^i (g-i)!/(i! n_Y) c_{g-i}:
+integer numerators over one common denominator throughout, and one
+`Fraction` per output coefficient.  The composite of a transform with its
+reverse acts as (-1)^g times the identity, which pins down all sign and
+shift conventions used here; the quasi-inverse therefore carries an
+explicit homological shift by g.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ from .lattice import (
     AbelianContext,
     CohClass,
     ContextMismatchError,
-    VVector,
+    _conv,
+    _exp_ints,
+    _from_ints,
+    _ints,
     exp_div,
-    from_v_vector,
     line_bundle,
     mukai_pairing,
     twist,
-    v_vector,
 )
 from .surd import as_fraction
 
@@ -117,20 +123,28 @@ def antidiag_matrix(spec: FMTransformSpec) -> tuple[tuple[Fraction, ...], ...]:
 def apply(spec: FMTransformSpec, e: CohClass) -> CohClass:
     """Image of a source class under the transform.
 
-    Pipeline: take coordinates with twist -d_x, multiply by the antidiagonal
-    matrix, read the result as coordinates with twist d_y on the target."""
+    The pipeline "coordinates with twist -d_x, the antidiagonal matrix,
+    coordinates with twist d_y on the target" in one integer pass: multiply
+    by e^{d_x l}, apply the scaled reversal R, multiply by e^{d_y l}.  With
+    n_Y = a/b, R takes numerators t over a denominator D to numerators
+    (-1)^i (g!/i!) (g-i)! b t_{g-i} over r a D."""
     if not e.ctx.matches(spec.src):
         raise ContextMismatchError(
             f"apply: class lives on (g={e.ctx.g}, n={e.ctx.n}), "
             f"spec source is (g={spec.src.g}, n={spec.src.n})"
         )
-    vv = v_vector(e, -spec.d_x)
-    m = antidiag_matrix(spec)
-    w = tuple(
-        sum((m[i][j] * vv.v[j] for j in range(spec.g + 1)), Fraction(0))
-        for i in range(spec.g + 1)
-    )
-    return from_v_vector(VVector(spec.dst, spec.d_y, w))
+    g = spec.g
+    nx, dx = _exp_ints(spec.d_x, g)
+    ne, de = _ints(e.c)
+    t = _conv(nx, ne)
+    a, b = spec.dst.n.numerator, spec.dst.n.denominator
+    fg = factorial(g)
+    rev = []
+    for i in range(g + 1):
+        x = fg // factorial(i) * factorial(g - i) * b * t[g - i]
+        rev.append(-x if i & 1 else x)
+    ny, dy = _exp_ints(spec.d_y, g)
+    return _from_ints(spec.dst, _conv(ny, rev), dy * spec.r * a * dx * de)
 
 
 def quasi_inverse(spec: FMTransformSpec) -> QuasiInverse:

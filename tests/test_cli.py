@@ -1,15 +1,19 @@
 """End-to-end CLI behavior: verbs, output shapes, exit codes, env override."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelfm.cli import main
 
@@ -285,22 +289,34 @@ CHARGE_CFG = {
         (("context", "n"), 2.0, "1,0,0"),
         (("context", "n"), True, "1,0,0"),
         ("nested", None, "1,0,0"),
+        ("huge-int", None, "1,0,0"),
+        ("not-utf8", None, "1,0,0"),
+        (("context", "n"), "1", "1,1/00,0"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cls):
     cfg = json.loads(json.dumps(CHARGE_CFG))
     if isinstance(leaf, tuple):
         cfg[leaf[0]][leaf[1]] = value
-    text = json.dumps(cfg)
+    data = json.dumps(cfg).encode()
     if leaf == "nested":
         # deeper than the JSON decoder's recursion limit
-        text = "[" * 100_000 + "]" * 100_000
+        data = b"[" * 100_000 + b"]" * 100_000
+    elif leaf == "huge-int":
+        # past Python's limit on decimal digits of an int
+        data = data.replace(b'"g": 2', b'"g": ' + b"9" * 5000)
+    elif leaf == "not-utf8":
+        data = data.replace(b'"X"', b'"\xff"')
     path = tmp_path / "cfg.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     rc, out, err = run(capsys, ["charge", "--config", str(path), "--class", cls])
     assert rc == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    if leaf in ("huge-int", "not-utf8"):
+        assert err.startswith(f"error: config {path}: ")
+    if (leaf, value) == (("context", "n"), "1"):  # chi = 1/2: the error, not the advisory
+        assert err.startswith("error: class: ")
 
 
 @pytest.mark.parametrize(
@@ -352,3 +368,102 @@ def test_params_exact_outside_pi6_family(capsys, tmp_path, g):
             assert '"equal": false' not in out
             assert "holds=True" in out and out.rstrip().endswith("exact=True")
             assert not FLOAT_LITERAL.search(out), out
+
+
+# ---- fuzz: generated configs and literals through cli.main ----
+
+JUNK_TEXT = ["", " ", "x", "1.5", "1e3", "nan", "-inf", "1/0", "1/00", "0", "-1", "1/2", "-7/3",
+             "2*sqrt3", "1/2-sqrt3", "1,0", "1@1/3", "@", "9" * 5000]
+JUNK_JSON = [b"", b"{", b"[]", b"null", b'"x"', b"\xff\xfe{}", b"[" * 100_000,
+             b'{"context": {"g": ' + b"9" * 5000 + b', "n": "1"}}']
+leaves = st.one_of(
+    st.sampled_from(JUNK_TEXT),
+    st.integers(-3, 6),
+    st.sampled_from([101, 10**5, 2**70]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 6), max_size=3),
+    st.just({}),
+)
+rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def literals(valid):
+    """Half valid literals, half junk."""
+    return st.one_of(valid, st.sampled_from(JUNK_TEXT + ["1,0,0,0,0,0", "1,,0", ","]))
+
+
+def class_literals(g):
+    coeffs = st.lists(rats, min_size=g + 1, max_size=g + 1)
+    return literals(coeffs.map(lambda cs: ",".join(map(str, cs))))
+
+
+@st.composite
+def cli_calls(draw):
+    g = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 2))
+    n_x = draw(st.sampled_from([F(1), F(2), F(3, 2), F(factorial(g))]))
+    cfg = {
+        "context": {"g": g, "n": str(draw(st.sampled_from([F(1), F(2), F(factorial(g))]))),
+                    "label": "X"},
+        "transform": {"g": g, "nX": str(n_x), "nY": str(F(factorial(g)) ** 2 / (r * r * n_x)),
+                      "r": r, "dX": str(draw(rats)), "dY": str(draw(rats))},
+        "charge": {"k": draw(st.integers(1, g)), "b": str(draw(rats)),
+                   "t": draw(st.sampled_from(["1", "1/3", "sqrt3"]))},
+        "scan": {"k": draw(st.integers(1, g)), "v": draw(class_literals(g)),
+                 "walls": draw(st.lists(class_literals(g), min_size=1, max_size=2)),
+                 "b_range": ["-2", "2"], "t_range": ["1/10", "2"], "resolution": [4, 5]},
+    }
+    # break up to three leaves or blocks; about a third of the configs stay valid
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        block = draw(st.sampled_from(sorted(cfg)))
+        if not isinstance(cfg[block], dict) or draw(st.sampled_from([True] + [False] * 5)):
+            cfg[block] = draw(leaves)
+            continue
+        key = draw(st.sampled_from(sorted(cfg[block]) + ["extra"]))
+        if draw(st.booleans()):
+            cfg[block].pop(key, None)
+        else:
+            cfg[block][key] = draw(leaves)
+    data = json.dumps(cfg).encode()
+    if draw(st.sampled_from([True] + [False] * 9)):
+        data = draw(st.sampled_from(JUNK_JSON))
+    verb = draw(st.sampled_from(["transform", "charge", "zeta", "params", "walls"]))
+    argv = [verb]
+    if verb in ("transform", "charge"):
+        argv.append("--class=" + draw(class_literals(g)))
+    if verb == "charge" and draw(st.booleans()):
+        argv += ["--k", str(draw(st.integers(-1, 4)))]
+    if verb == "zeta":
+        argv.append("--u=" + draw(literals(st.sampled_from(["1@1/3", "2@1/2", "1/2@0", "3@-5/6"]))))
+    if verb == "params":
+        k = draw(st.one_of(st.integers(1, g), st.sampled_from([-1, 0, 4])))
+        argv += ["--k", str(k), "--lambda=" + draw(literals(st.sampled_from(["1", "1/2", "7/3"])))]
+    if verb == "walls":
+        argv += ["--format", draw(st.sampled_from(["csv", "json", "svg"]))]
+        if draw(st.booleans()):
+            argv.append("--recheck")
+    return data, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls())
+def test_fuzzed_input_never_escapes(call):
+    # argv is always well-formed for argparse (its usage errors print the
+    # usage line as well, and "--u -7/3" would read -7/3 as an option);
+    # configs and literal values may be anything
+    data, argv = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv[:1] + ["--config", str(path)] + argv[1:])
+    lines = err.getvalue().splitlines()
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert rc == 0, (rc, lines)
+        assert all(ln.startswith(("advisory: ", "recheck: all ")) for ln in lines), lines

@@ -1,6 +1,7 @@
 """Truncated lattice ring: products, twists, pairing, coordinate maps."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,3 +204,47 @@ def test_pairing_against_direct_expansion(xs, ys, b):
     assert mukai_pairing(a, c) == direct
     # twist invariance of the pairing under a joint twist
     assert mukai_pairing(twist(a, b), twist(c, b)) == mukai_pairing(a, c)
+
+
+# numerators up to 10^30, denominators up to 10^6, and plenty of exact zeros
+wide_rat = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
+    small_rat,
+)
+
+
+def _coeff_pairs():
+    # two coefficient lists of one length g + 1, g = 1..8
+    return st.integers(1, 8).flatmap(
+        lambda g: st.tuples(*[st.lists(wide_rat, min_size=g + 1, max_size=g + 1)] * 2)
+    )
+
+
+def _schoolbook(xs, ys):
+    # truncated product, one Fraction operation at a time
+    g = len(xs) - 1
+    out = [F(0)] * (g + 1)
+    for i in range(g + 1):
+        for j in range(g + 1 - i):
+            out[i + j] += xs[i] * ys[j]
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeff_pairs(), wide_rat)
+def test_integer_kernel_matches_schoolbook_convolution(pair, b):
+    xs, ys = pair
+    g = len(xs) - 1
+    ctx = AbelianContext(g, F(3, 2))
+    a, c = CohClass(ctx, tuple(xs)), CohClass(ctx, tuple(ys))
+
+    def exp(x):
+        return tuple(x**i / factorial(i) for i in range(g + 1))
+
+    prod = mul(a, c)
+    assert prod.c == _schoolbook(xs, ys)
+    assert all(type(x) is F for x in prod.c)
+    assert exp_div(b, ctx).c == exp(b)
+    assert twist(a, b).c == _schoolbook(exp(-b), xs)
+    assert mukai_pairing(a, c) == -sum((-1) ** i * xs[i] * ys[g - i] for i in range(g + 1)) * ctx.n

@@ -4,18 +4,22 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelfm.lattice import (
     AbelianContext,
     CohClass,
     ContextMismatchError,
+    VVector,
     divided_power_basis,
     exp_div,
+    from_v_vector,
     line_bundle,
     mukai_pairing,
     skyscraper,
     structure_sheaf,
     twist,
+    v_vector,
 )
 from abelfm.transform import (
     FMTransformSpec,
@@ -228,3 +232,44 @@ def test_twist_conjugation_identity():
     )
     e = CohClass(spec.src, (F(1), F(2), F(-1), F(1, 2)))
     assert apply(shifted, twist(e, a)) == apply(spec, e)
+
+
+# numerators up to 10^30, denominators up to 10^6, and plenty of exact zeros
+wide_rat = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def specs_and_classes(draw):
+    g = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 5))
+    n_x = draw(st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)))
+    spec = FMTransformSpec(
+        src=AbelianContext(g, n_x, "X"),
+        dst=AbelianContext(g, F(factorial(g)) ** 2 / (r * r * n_x), "Y"),
+        r=r,
+        d_x=draw(wide_rat),
+        d_y=draw(wide_rat),
+    )
+    zero = draw(st.booleans())
+    coeffs = [F(0)] * (g + 1) if zero else draw(st.lists(wide_rat, min_size=g + 1, max_size=g + 1))
+    return spec, CohClass(spec.src, tuple(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_and_classes())
+def test_apply_matches_the_documented_pipeline(case):
+    # oracle: coordinates with twist -d_x, the antidiagonal matrix, and
+    # coordinates with twist d_y read back on the target
+    spec, e = case
+    g = spec.g
+    vv = v_vector(e, -spec.d_x)
+    m = antidiag_matrix(spec)
+    w = tuple(sum(m[i][j] * vv.v[j] for j in range(g + 1)) for i in range(g + 1))
+    want = from_v_vector(VVector(spec.dst, spec.d_y, w))
+    got = apply(spec, e)
+    assert got == want
+    assert got.ctx == spec.dst and all(type(x) is F for x in got.c)
