@@ -1,17 +1,22 @@
 """Command-line front door.
 
 Verbs: transform, charge, zeta, params, walls, verify.  All but verify read
-a JSON config file; verb-specific flags supply the remaining inputs.  Exit
-statuses: 0 success, 1 verification failure, 2 usage or config error, 3 I/O
-error.  The only environment override is ABELFM_OUT_DIR, which redirects
-relative --out paths.
+a JSON config file; verb-specific flags supply the remaining inputs.  A flag
+value may start with "-" in either form, "--class -1,0,0" or
+"--class=-1,0,0".  Exit statuses: 0 success, 1 verification failure, 2 usage
+or config error, 3 I/O error; every usage or config error is one "error: "
+line on stderr.  A verb's stdout is written only once the verb has finished,
+so a failing verb prints nothing there.  The only environment override is
+ABELFM_OUT_DIR, which redirects relative --out paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +119,18 @@ def _cmd_params(args) -> int:
     return 0
 
 
+def _describe(bad: scan.RecheckFailure) -> str:
+    cell = bad.cell
+    where = f"wall {cell.w_index}, b = {format_rational(cell.b)}, t = {format_rational(cell.t)}"
+    if bad.corners is None:
+        return f"emitted cell off the grid: {where}"
+    signs = ", ".join("+" if s > 0 else "-" if s < 0 else "0" for s in bad.corners)
+    return (
+        f"emitted cell without sign change: {where},"
+        f" corner signs {signs} at (b, t), (b', t), (b, t'), (b', t')"
+    )
+
+
 def _cmd_walls(args) -> int:
     cfg = config.load_config(args.config)
     ctx = config.context_from(cfg)
@@ -125,7 +142,7 @@ def _cmd_walls(args) -> int:
         if scan.recheck_walls(ds):
             print(f"recheck: all {len(ds.cells)} cells confirmed", file=sys.stderr)
         else:
-            print("recheck: FAIL, emitted cell without sign change", file=sys.stderr)
+            print(f"recheck: FAIL, {_describe(scan.first_bad_cell(ds))}", file=sys.stderr)
             status = 1
     if args.out:
         path = _out_path(args.out)
@@ -149,8 +166,49 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are one stderr line, and whose
+    value-taking flags accept a separate value word starting with "-"."""
+
+    def __init__(self, *args, **kwargs):
+        # set before ArgumentParser.__init__, which already adds -h
+        self._flags: set[str] = set()
+        self._value_flags: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self._flags.update(action.option_strings)
+        if action.option_strings and action.nargs is None:
+            self._value_flags.update(action.option_strings)
+        return action
+
+    def _takes_value(self, word: str) -> bool:
+        """Whether word is, or abbreviates as argparse allows, a flag that
+        takes one value."""
+        if word in self._flags or not word.startswith("--"):
+            return word in self._value_flags
+        names = [f for f in self._flags if f.startswith(word)]
+        return len(names) == 1 and names[0] in self._value_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        # "--class -1,0,0" would read -1,0,0 as an option; "--class=-1,0,0" cannot
+        joined: list[str] = []
+        for word in sys.argv[1:] if args is None else args:
+            if joined and self._takes_value(joined[-1]) and word.startswith("-") and (
+                word.split("=", 1)[0] not in self._flags
+            ):
+                joined[-1] += "=" + word
+            else:
+                joined.append(word)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        self.exit(2, "error: " + message.replace("\n", " ") + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abelfm",
         description=(
             "Exact lattice transforms, charges and wall scans on principally "
@@ -209,14 +267,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; normalize others
         return exc.code if exc.code in (0, 2) else 2
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with redirect_stdout(out):
+            status = args.func(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (config.ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return status
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Sequence
 
-from .lattice import AbelianContext, CohClass
-from .stability import _horner, charge_poly
+from .lattice import AbelianContext, CohClass, _ints
+from .stability import _horner_ints, charge_poly
 from .surd import PolarScalar, SurdComplex, as_fraction
 from .transform import FMTransformSpec, apply
 
@@ -183,7 +183,7 @@ def verify_induced_law(
         if rect is None:
             shown = tuple(lhs), tuple(rhs)
         else:
-            shown = _horner(lhs, rect), _horner(rhs, rect)
+            shown = _horner_ints(*_ints(lhs), rect, 0), _horner_ints(*_ints(rhs), rect, 0)
         out.append(LawVerdict(f"e{idx}", *shown, lhs == rhs, True))
     return out
 

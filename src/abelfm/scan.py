@@ -191,10 +191,18 @@ def scan_walls(req: ScanRequest) -> WallDataset:
     return WallDataset(req, cells, trivial, v_degenerate)
 
 
-def recheck_walls(ds: WallDataset) -> bool:
-    """Independent soundness pass: recompute the four corner values of every
-    emitted cell through the public exact charge (rotation included) and
-    confirm the sign-change predicate.  Returns True when every cell passes."""
+@dataclass(frozen=True)
+class RecheckFailure:
+    """An emitted cell that failed the recheck, with the signs of W at its
+    corners (b, t), (b', t), (b, t'), (b', t'); corners is None when the
+    cell's lower-left corner is not a grid point with a cell above and to
+    its right."""
+
+    cell: WallCell
+    corners: tuple[int, int, int, int] | None
+
+
+def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
     req = ds.request
     nb, nt = req.resolution
     bs = _grid(req.b_range[0], req.b_range[1], nb)
@@ -213,7 +221,7 @@ def recheck_walls(ds: WallDataset) -> bool:
         x = b_index.get(cell.b)
         y = t_index.get(cell.t)
         if x is None or y is None or x + 1 >= nb or y + 1 >= nt:
-            return False
+            return RecheckFailure(cell, None)
         w = req.walls[cell.w_index]
         quad = (
             wall_sign(w, bs[x], ts[y]),
@@ -222,8 +230,21 @@ def recheck_walls(ds: WallDataset) -> bool:
             wall_sign(w, bs[x + 1], ts[y + 1]),
         )
         if not _crosses(quad):
-            return False
-    return True
+            return RecheckFailure(cell, quad)
+    return None
+
+
+def recheck_walls(ds: WallDataset) -> bool:
+    """Independent soundness pass: recompute the four corner values of every
+    emitted cell through the public exact charge (rotation included) and
+    confirm the sign-change predicate.  Returns True when every cell passes."""
+    return _first_bad_cell(ds) is None
+
+
+def first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
+    """The first emitted cell that recheck_walls rejects, None when every
+    cell passes."""
+    return _first_bad_cell(ds)
 
 
 def emit_csv(ds: WallDataset) -> str:

@@ -8,10 +8,13 @@ polarization parameter beta = b + i*t (t > 0), the level-k charge is
 
 that is, minus the i^(g-k) quarter-turn of the integral of e^{-beta*l}
 against the truncation of e to degrees at most k.  At k = g this is the
-untruncated charge of the full class.  The sum is written once, as the
-polynomial in beta returned by charge_poly; charge_at evaluates it exactly
-(beta has components in Q(sqrt 3)) and the quarter turn is a component swap
-with signs.
+untruncated charge of the full class.  The sum is written once, in
+_charge_ints, as integer numerators N_m of its coefficients in beta over one
+denominator; charge_poly returns them as Fractions.  charge_at evaluates it
+with one integer kernel: beta's two Q(sqrt 3) parts are cleared to one
+denominator D, a homogenised Horner pass runs on integer 4-tuples (Re and Im
+in Z[sqrt 3]), the -i^(g-k) turn permutes and negates the tuple, and the two
+Q3 parts of the result are built once, at the end.
 
 Slopes are -Re/Im with Im = 0 read as slope +infinity (returned as None).
 Phases are arg(Z)/pi in (0, 1] plus any explicit homological shift carried
@@ -27,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, factorial, floor, pi
+from math import atan2, factorial, floor, lcm, pi
 from typing import Sequence
 
-from .lattice import AbelianContext, CohClass, twist
+from .lattice import AbelianContext, CohClass, _ints, twist
 from .surd import Q3, SurdComplex, as_fraction, as_q3, direction_pi
 from .transform import ShiftedClass
 
@@ -69,48 +72,74 @@ def _split(e) -> tuple[CohClass, int]:
     raise TypeError(f"expected CohClass or ShiftedClass, got {e!r}")
 
 
+def _charge_ints(ctx: AbelianContext, e: CohClass, k: int) -> tuple[list[int], int]:
+    """Integer numerators N_0..N_g of the coefficients of charge_poly over
+    one denominator den = n_den * c_den * g!, where C_i / c_den are the
+    coefficients of e: N_m = (-1)^m * n_num * C_(g-m) * g!/m! when g - m <= k,
+    else 0."""
+    if not e.ctx.matches(ctx):
+        raise ValueError("charge_poly: class context does not match")
+    g, n = ctx.g, ctx.n
+    cs, c_den = _ints(e.c)
+    nums = [0] * (g + 1)
+    f = n.numerator  # n_num * g!/m!, built downwards from m = g
+    for m in range(g, max(g - k, 0) - 1, -1):
+        nums[m] = -f * cs[g - m] if m % 2 else f * cs[g - m]
+        f *= m
+    return nums, n.denominator * c_den * factorial(g)
+
+
 def charge_poly(ctx: AbelianContext, e: CohClass, k: int) -> list[Fraction]:
     """Coefficients a_0..a_g, constant term first, of the plain truncated
     integral n * sum_{i <= k} c_i * (-beta)^(g-i) / (g-i)! as a polynomial
     in beta: a_m = n * c_(g-m) * (-1)^m / m! when g - m <= k, else 0."""
-    if not e.ctx.matches(ctx):
-        raise ValueError("charge_poly: class context does not match")
-    g, n = ctx.g, ctx.n
-    # one Fraction per coefficient, so one gcd instead of three products
-    return [
-        Fraction(
-            (-1) ** m * n.numerator * e.c[g - m].numerator,
-            n.denominator * e.c[g - m].denominator * factorial(m),
+    nums, den = _charge_ints(ctx, e, k)
+    return [Fraction(x, den) for x in nums]
+
+
+def _horner_ints(nums: Sequence[int], den: int, beta: SurdComplex, turns: int) -> SurdComplex:
+    """i^turns * sum_m (nums[m]/den) * beta^m for integers nums and den > 0.
+
+    With beta = (X + i*Y)/D, X and Y in Z[sqrt 3] over the common
+    denominator D of its parts, the homogenised Horner step
+    acc <- acc * (X + i*Y) + nums[m] * D^(deg - m) ends at D^deg times the
+    sum.  acc is an integer 4-tuple (Re and Im in Z[sqrt 3]); the quarter
+    turns permute and negate it, and the two Q3 parts are built last."""
+    a1, b1, d1 = beta.re._abd
+    a2, b2, d2 = beta.im._abd
+    d = d1 if d1 == d2 else lcm(d1, d2)
+    xa, xb = a1 * (d // d1), b1 * (d // d1)
+    ya, yb = a2 * (d // d2), b2 * (d // d2)
+    ra, rb, ia, ib = nums[-1], 0, 0, 0
+    dp = 1  # D^(deg - m)
+    for m in range(len(nums) - 2, -1, -1):
+        dp *= d
+        ra, rb, ia, ib = (
+            ra * xa + 3 * rb * xb - ia * ya - 3 * ib * yb + nums[m] * dp,
+            ra * xb + rb * xa - ia * yb - ib * ya,
+            ra * ya + 3 * rb * yb + ia * xa + 3 * ib * xb,
+            ra * yb + rb * ya + ia * xb + ib * xa,
         )
-        if g - m <= k
-        else Fraction(0)
-        for m in range(g + 1)
-    ]
-
-
-def _horner(coeffs: Sequence, x):
-    """sum_m coeffs[m] * x^m by Horner's rule, in whatever ring x lives in."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+    turns %= 4
+    if turns & 2:
+        ra, rb, ia, ib = -ra, -rb, -ia, -ib
+    if turns & 1:
+        ra, rb, ia, ib = -ia, -ib, ra, rb
+    q = den * dp
+    return SurdComplex._new(Q3._new(ra, rb, q), Q3._new(ia, ib, q))
 
 
 def charge_at(ctx: AbelianContext, beta: SurdComplex, e: CohClass, k: int) -> SurdComplex:
     """Exact level-k charge of e at the complexified parameter beta*l."""
-    total = _horner(charge_poly(ctx, e, k), beta)
-    # -(i^(g-k)): quarter turns then negation, all exact
-    for _ in range((ctx.g - k) % 4):
-        total = total.times_i()
-    return -total
+    # -(i^(g-k)) is i^(g-k+2): two more quarter turns
+    return _horner_ints(*_charge_ints(ctx, e, k), beta, ctx.g - k + 2)
 
 
 def charge(spec: ChargeSpec, e) -> SurdComplex:
     """Exact charge of a class, with the (-1)^shift sign of any explicit
     homological shift folded in."""
     cls, shift = _split(e)
-    beta = SurdComplex(Q3(spec.b), spec.t)
-    z = charge_at(spec.ctx, beta, cls, spec.k)
+    z = charge_at(spec.ctx, SurdComplex._new(as_q3(spec.b), spec.t), cls, spec.k)
     return -z if shift % 2 else z
 
 

@@ -205,12 +205,15 @@ def test_verify_all_matches_golden(capsys):
 
 
 def test_usage_exit_codes(capsys):
-    assert main([]) == 2
-    assert main(["bogus"]) == 2
-    assert main(["verify", "--suite", "bogus"]) == 2
-    assert main(["charge", "--config", str(EXAMPLE)]) == 2  # --class required
-    assert main(["--help"]) == 0
-    capsys.readouterr()
+    # every usage error is one stderr line
+    for argv in ([], ["bogus"], ["verify", "--suite", "bogus"], ["verify", "--suite"],
+                 ["charge", "--config", str(EXAMPLE)],  # --class required
+                 ["walls", "--config", str(EXAMPLE), "--format", "-x"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    rc, out, err = run(capsys, ["--help"])
+    assert (rc, err) == (0, "") and out.startswith("usage: abelfm")
 
 
 def test_missing_config_exits_3(capsys, tmp_path):
@@ -292,6 +295,13 @@ CHARGE_CFG = {
         ("huge-int", None, "1,0,0"),
         ("not-utf8", None, "1,0,0"),
         (("context", "n"), "1", "1,1/00,0"),
+        (None, None, "-1,1/00,0"),
+        ("argv", ("--k", "-x"), "1,0,0"),
+        ("argv", ("--k", "x"), "1,0,0"),
+        ("argv", ("--k",), "1,0,0"),
+        ("argv", ("--bogus",), "1,0,0"),
+        ("argv", ("--class", "--k"), "1,0,0"),
+        ("argv", ("--bogus\nline",), "1,0,0"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cls):
@@ -309,10 +319,12 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cl
         data = data.replace(b'"X"', b'"\xff"')
     path = tmp_path / "cfg.json"
     path.write_bytes(data)
-    rc, out, err = run(capsys, ["charge", "--config", str(path), "--class", cls])
+    extra = list(value) if leaf == "argv" else []
+    rc, out, err = run(capsys, ["charge", "--config", str(path), "--class", cls] + extra)
     assert rc == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: ")
     if leaf in ("huge-int", "not-utf8"):
         assert err.startswith(f"error: config {path}: ")
     if (leaf, value) == (("context", "n"), "1"):  # chi = 1/2: the error, not the advisory
@@ -342,6 +354,88 @@ def test_oversized_request_exits_2_with_one_line(capsys, tmp_path, monkeypatch, 
     argv = [verb, "--config", str(path)] + (["--class", "1"] if verb == "charge" else [])
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (2, "", expect + "\n")
+
+
+@pytest.mark.parametrize(
+    "verb,flag,value,extra",
+    [
+        ("charge", "--class", "-1,0,0", []),
+        ("charge", "--cla", "-1,0,0", []),
+        ("transform", "--class", "-1,1/2,0", []),
+        ("charge", "--k", "-1", ["--class", "1,0,0"]),
+        ("zeta", "--u", "-1@1/2", []),
+        ("zeta", "--u", "1@-1/2", []),
+        ("params", "--lambda", "-1/2", ["--k", "1"]),
+    ],
+)
+def test_value_word_may_start_with_minus(capsys, poincare_cfg, tmp_path, verb, flag, value, extra):
+    # "--flag v" and "--flag=v" are the same call, whatever v starts with
+    cfg = json.loads(json.dumps(POINCARE2))
+    cfg.update(CHARGE_CFG)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    head = [verb, "--config", str(path)] + extra
+    apart = run(capsys, head + [flag, value])
+    joined = run(capsys, head + [f"{flag}={value}"])
+    assert apart == joined
+    rc, out, err = apart
+    if rc == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert rc == 0 and err == "", err
+
+
+@pytest.fixture
+def int_str_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_output_past_int_str_limit_prints_nothing(capsys, tmp_path, int_str_limit):
+    # the image's coefficients have about 4400 digits; "source = 1,0,0"
+    # would be printed before the image fails to format
+    cfg = {"transform": {"g": 2, "nX": "2", "nY": "2", "r": 1, "dX": "7" * 2200, "dY": "0"}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc, out, err = run(capsys, ["transform", "--config", str(path), "--class", "1,0,0"])
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"({int_str_limit} digits)" in err
+
+
+def test_walls_recheck_names_the_failing_cell(capsys, scan_cfg, monkeypatch):
+    import abelfm.scan
+
+    real_scan = abelfm.scan.scan_walls
+
+    def corrupted(req):
+        ds = real_scan(req)
+        # here W = Im(beta^2) = 2bt, so the only wall is b = 0 and all four
+        # corners of the cell at b = 3/2 are positive
+        bad = abelfm.scan.WallCell(0, F(3, 2), F(1, 100))
+        return type(ds)(ds.request, ds.cells[:3] + (bad,) + ds.cells[3:],
+                        ds.trivial_walls, ds.v_degenerate)
+
+    monkeypatch.setattr(abelfm.scan, "scan_walls", corrupted)
+    rc, out, err = run(capsys, ["walls", "--config", scan_cfg, "--recheck"])
+    assert rc == 1
+    assert out.startswith("w,b,t\n")
+    assert err == (
+        "recheck: FAIL, emitted cell without sign change: wall 0, b = 3/2, t = 1/100,"
+        " corner signs +, +, +, + at (b, t), (b', t), (b, t'), (b', t')\n"
+    )
+
+    def off_grid(req):
+        ds = real_scan(req)
+        bad = abelfm.scan.WallCell(0, F(3, 2), F(1, 3))
+        return type(ds)(ds.request, (bad,) + ds.cells, ds.trivial_walls, ds.v_degenerate)
+
+    monkeypatch.setattr(abelfm.scan, "scan_walls", off_grid)
+    rc, _, err = run(capsys, ["walls", "--config", scan_cfg, "--recheck"])
+    assert rc == 1
+    assert err == "recheck: FAIL, emitted cell off the grid: wall 0, b = 3/2, t = 1/3\n"
 
 
 FLOAT_LITERAL = re.compile(r"\d\.\d|\d[eE][-+]?\d|\b(nan|inf)\b")
@@ -430,29 +524,35 @@ def cli_calls(draw):
     if draw(st.sampled_from([True] + [False] * 9)):
         data = draw(st.sampled_from(JUNK_JSON))
     verb = draw(st.sampled_from(["transform", "charge", "zeta", "params", "walls"]))
+
+    def flag(name, value):
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
     argv = [verb]
     if verb in ("transform", "charge"):
-        argv.append("--class=" + draw(class_literals(g)))
+        argv += flag("--class", draw(class_literals(g)))
     if verb == "charge" and draw(st.booleans()):
-        argv += ["--k", str(draw(st.integers(-1, 4)))]
+        argv += flag("--k", str(draw(st.integers(-1, 4))))
     if verb == "zeta":
-        argv.append("--u=" + draw(literals(st.sampled_from(["1@1/3", "2@1/2", "1/2@0", "3@-5/6"]))))
+        argv += flag("--u", draw(literals(st.sampled_from(["1@1/3", "2@1/2", "1/2@0", "3@-5/6"]))))
     if verb == "params":
         k = draw(st.one_of(st.integers(1, g), st.sampled_from([-1, 0, 4])))
-        argv += ["--k", str(k), "--lambda=" + draw(literals(st.sampled_from(["1", "1/2", "7/3"])))]
+        argv += flag("--k", str(k))
+        argv += flag("--lambda", draw(literals(st.sampled_from(["1", "1/2", "7/3"]))))
     if verb == "walls":
-        argv += ["--format", draw(st.sampled_from(["csv", "json", "svg"]))]
+        argv += flag("--format", draw(st.sampled_from(["csv", "json", "svg"])))
         if draw(st.booleans()):
             argv.append("--recheck")
+    if draw(st.sampled_from([True] + [False] * 9)):  # an argparse usage error
+        argv += draw(st.sampled_from([["--bogus"], ["--k"], ["--format", "-x"], ["-1,0,0"]]))
     return data, argv
 
 
 @settings(max_examples=200, deadline=None)
 @given(cli_calls())
 def test_fuzzed_input_never_escapes(call):
-    # argv is always well-formed for argparse (its usage errors print the
-    # usage line as well, and "--u -7/3" would read -7/3 as an option);
-    # configs and literal values may be anything
+    # configs, literal values and argv may be anything; each value is given
+    # as "--flag=v" or as "--flag v", also when v starts with "-"
     data, argv = call
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"

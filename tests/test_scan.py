@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from abelfm.lattice import AbelianContext, CohClass, line_bundle, skyscraper, structure_sheaf
 from abelfm.scan import (
+    RecheckFailure,
     ScanRequest,
     WallCell,
     emit,
     emit_csv,
     emit_json,
     emit_svg,
+    first_bad_cell,
     recheck_walls,
     render,
     scan_walls,
@@ -133,10 +135,16 @@ def test_recheck_passes_and_catches_corruption():
             v_degenerate=ds.v_degenerate,
         )
 
+    assert first_bad_cell(ds) is None
     # a grid cell far from the wall: all four corners share one sign
-    assert not recheck_walls(with_extra(WallCell(0, F(3, 2), F(201, 200))))
+    far = WallCell(0, F(3, 2), F(201, 200))
+    assert not recheck_walls(with_extra(far))
+    bad = first_bad_cell(with_extra(far))
+    assert bad.cell == far and len(set(bad.corners)) == 1 and bad.corners[0] != 0
     # a cell whose corner is not even a grid point
-    assert not recheck_walls(with_extra(WallCell(0, F(3, 2), F(1, 2))))
+    off = WallCell(0, F(3, 2), F(1, 2))
+    assert not recheck_walls(with_extra(off))
+    assert first_bad_cell(with_extra(off)) == RecheckFailure(off, None)
 
 
 def test_csv_shape():

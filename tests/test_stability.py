@@ -19,6 +19,7 @@ from abelfm.stability import (
     bg_check,
     charge,
     charge_at,
+    charge_poly,
     heart_tower,
     hn_polygon,
     in_slice,
@@ -108,6 +109,54 @@ def test_charge_at_surd_parameter():
     beta = SurdComplex(Q3(0), SQRT3)
     z = charge_at(ctx, beta, line_bundle(ctx, F(1)), 3)
     assert z == SurdComplex(Q3(8))
+
+
+BIG = st.integers(-(10**30), 10**30)
+DENS = st.integers(1, 10**6)
+RATS = st.one_of(st.just(F(0)), st.builds(F, BIG, DENS))
+SURDS = st.builds(Q3, RATS, RATS)
+
+
+def _surd_horner(coeffs, beta):
+    """sum_m coeffs[m] * beta^m in plain SurdComplex arithmetic."""
+    acc = SurdComplex()
+    for c in reversed(coeffs):
+        acc = acc * beta + c
+    return acc
+
+
+def _oracle_charge(ctx, beta, e, k):
+    z = _surd_horner(charge_poly(ctx, e, k), beta)
+    for _ in range(ctx.g - k):
+        z = z.times_i()
+    return -z
+
+
+@st.composite
+def charge_cases(draw):
+    g = draw(st.integers(1, 8))
+    ctx = AbelianContext(g, F(draw(st.integers(1, 10**30)), draw(DENS)))
+    if draw(st.integers(0, 9)) == 0:
+        e = CohClass.zero(ctx)
+    else:
+        e = CohClass(ctx, draw(st.lists(RATS, min_size=g + 1, max_size=g + 1)))
+    return ctx, e, draw(st.integers(1, g)), SurdComplex(draw(SURDS), draw(SURDS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(charge_cases(), st.integers(-3, 3), SURDS)
+def test_charge_at_matches_surd_horner(case, shift, t):
+    # every g in 1..8 and every k, so g - k takes every value mod 4; sqrt3
+    # parts in both parts of beta; the shifted class goes through charge
+    ctx, e, k, beta = case
+    g = ctx.g
+    plain = [ctx.n * e.c[g - m] * (-1) ** m / math.factorial(m) if g - m <= k else 0
+             for m in range(g + 1)]
+    assert charge_poly(ctx, e, k) == plain
+    assert charge_at(ctx, beta, e, k) == _oracle_charge(ctx, beta, e, k)
+    spec = ChargeSpec(ctx, k, beta.re.r, abs(t) or Q3(1))
+    z = _oracle_charge(ctx, SurdComplex(Q3(spec.b), spec.t), e, k)
+    assert charge(spec, ShiftedClass(e, shift)) == (-z if shift % 2 else z)
 
 
 def test_slope_values_and_order():
