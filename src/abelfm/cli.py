@@ -275,10 +275,27 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (config.ConfigError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(args.verb, exc)}", file=sys.stderr)
         return 2
     sys.stdout.write(out.getvalue())
     return status
+
+
+def _error_text(verb: str, exc: Exception) -> str:
+    """The message of a verb's error.  Python's own text for a number past
+    the int-to-str digit limit names neither the number nor a knob that a
+    command-line user has, so it is replaced by one that does.  Python says
+    "... conversion: value has N digits" when reading such a number and
+    "... conversion; use ..." when printing one."""
+    text = str(exc)
+    if isinstance(exc, ValueError) and text.startswith("Exceeds the limit ("):
+        what = "an input" if "value has" in text else "a result"
+        return (
+            f"{verb}: {what} number exceeds the int-to-str limit"
+            f" ({sys.get_int_max_str_digits()} digits); raise the limit with the"
+            " environment variable PYTHONINTMAXSTRDIGITS"
+        )
+    return text
 
 
 if __name__ == "__main__":

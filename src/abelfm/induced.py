@@ -10,9 +10,13 @@ it is real with sign (-1)^k.
 
 Both sides of the identity are polynomials in u over Q (zeta's u^g clears
 the powers of 1/u), so it is decided exactly, for every angle and every g,
-by comparing coefficients.  Values at u are shown over Q(sqrt 3) when its
-angle lies in the pi/6 family (every k*pi/g with g in {1, 2, 3, 6}), and as
-coefficient lists in u otherwise.
+by comparing coefficients.  Each side is built on integers: the charge
+numerators of the class (or of its image) over one denominator are Taylor
+shifted by h = a/q as an integer shift by a between two rescalings by
+powers of q.  A side is thus a list of integer numerators over one
+denominator, and the two sides are compared by cross-multiplying.  Values
+at u are shown over Q(sqrt 3) when its angle lies in the pi/6 family (every
+k*pi/g with g in {1, 2, 3, 6}), and as coefficient lists in u otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Sequence
 
-from .lattice import AbelianContext, CohClass, _ints
-from .stability import _horner_ints, charge_poly
+from .lattice import AbelianContext, CohClass
+from .stability import _charge_ints, _horner_ints
 from .surd import PolarScalar, SurdComplex, as_fraction
 from .transform import FMTransformSpec, apply
 
@@ -119,13 +123,39 @@ def conjecture_params(
     return law.omega_src, law.omega_dst
 
 
-def _taylor_shift(p: Sequence[Fraction], h: Fraction) -> list[Fraction]:
-    """Coefficients of p(x + h), constant term first."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += h * p[j + 1]
-    return p
+def _shifted_ints(nums: Sequence[int], den: int, h: Fraction) -> tuple[list[int], int]:
+    """Numerators over one denominator of p(x + h), where p has the
+    coefficients nums[m] / den (constant term first) and h = a/q.  The
+    integer polynomial R(y) = den * q^deg * p(y/q) is shifted by the integer
+    a, then coefficient m is rescaled by q^m, over the denominator
+    den * q^deg."""
+    a, q = h.numerator, h.denominator
+    deg = len(nums) - 1
+    qs = [q**m for m in range(deg + 1)]
+    p = [x * qs[deg - m] for m, x in enumerate(nums)]
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            p[j] += a * p[j + 1]
+    return [x * qs[m] for m, x in enumerate(p)], den * qs[deg]
+
+
+def _law_ints(spec: FMTransformSpec, e: CohClass) -> tuple[list[int], int, list[int], int]:
+    """Both sides of the transport identity as integer numerators over one
+    denominator each: (lhs numerators, lhs denominator, rhs numerators,
+    rhs denominator), coefficients in u with the constant term first."""
+    g = spec.g
+    ln, ld = _shifted_ints(*_charge_ints(spec.src, e, g), -spec.d_x)
+    qn, qd = _shifted_ints(*_charge_ints(spec.dst, apply(spec, e), g), spec.d_y)
+    c = spec.r * spec.src.n / factorial(g)
+    cn = c.numerator
+    # coefficient i of the target side is c * (-1)^(j+1) * q_j with j = g - i
+    rn = [cn * qn[g - i] if (g - i) & 1 else -cn * qn[g - i] for i in range(g + 1)]
+    return [-x for x in ln], ld, rn, qd * c.denominator
+
+
+def _sides_equal(ln: Sequence[int], ld: int, rn: Sequence[int], rd: int) -> bool:
+    """Whether ln[i]/ld == rn[i]/rd for every i (denominators positive)."""
+    return all(x * rd == y * ld for x, y in zip(ln, rn))
 
 
 def law_sides(spec: FMTransformSpec, e: CohClass) -> tuple[list[Fraction], list[Fraction]]:
@@ -134,12 +164,8 @@ def law_sides(spec: FMTransformSpec, e: CohClass) -> tuple[list[Fraction], list[
     shifted by -d_x.  With q the image's plain integral shifted by d_y, the
     target side is zeta(u) * -q(-1/u) = -c * sum_j q_j (-1)^j u^(g-j), where
     zeta(u) = c * u^g."""
-    g = spec.g
-    lhs = [-a for a in _taylor_shift(charge_poly(spec.src, e, g), -spec.d_x)]
-    q = _taylor_shift(charge_poly(spec.dst, apply(spec, e), g), spec.d_y)
-    c = spec.r * spec.src.n / factorial(g)
-    rhs = [c * (-1) ** (j + 1) * q[j] for j in range(g, -1, -1)]
-    return lhs, rhs
+    ln, ld, rn, rd = _law_ints(spec, e)
+    return [Fraction(x, ld) for x in ln], [Fraction(y, rd) for y in rn]
 
 
 @dataclass(frozen=True)
@@ -179,12 +205,12 @@ def verify_induced_law(
     rect = u.to_exact()
     out = []
     for idx, e in enumerate(basis):
-        lhs, rhs = law_sides(spec, e)
+        ln, ld, rn, rd = _law_ints(spec, e)
         if rect is None:
-            shown = tuple(lhs), tuple(rhs)
+            shown = tuple(Fraction(x, ld) for x in ln), tuple(Fraction(y, rd) for y in rn)
         else:
-            shown = _horner_ints(*_ints(lhs), rect, 0), _horner_ints(*_ints(rhs), rect, 0)
-        out.append(LawVerdict(f"e{idx}", *shown, lhs == rhs, True))
+            shown = _horner_ints(ln, ld, rect, 0), _horner_ints(rn, rd, rect, 0)
+        out.append(LawVerdict(f"e{idx}", *shown, _sides_equal(ln, ld, rn, rd), True))
     return out
 
 
@@ -244,11 +270,15 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _vanishes_at(coeffs: Sequence[Fraction], u: PolarScalar) -> bool:
-    """Whether sum_m coeffs[m] * u^m = 0.  With u = lam * w, w a primitive
-    N-th root of unity, that holds exactly when Phi_N, the minimal
-    polynomial of w over Q, divides sum_m coeffs[m] * lam^m * x^m."""
-    r = [c * u.modulus**m for m, c in enumerate(coeffs)]
+def _vanishes_at(coeffs: Sequence, u: PolarScalar) -> bool:
+    """Whether sum_m coeffs[m] * u^m = 0 for rational coeffs.  With
+    u = lam * w, lam = p/s and w a primitive N-th root of unity, that holds
+    exactly when Phi_N, the minimal polynomial of w over Q, divides
+    sum_m coeffs[m] * p^m * s^(deg - m) * x^m, which has integer
+    coefficients when coeffs are integers."""
+    p, s = u.modulus.numerator, u.modulus.denominator
+    deg = len(coeffs) - 1
+    r = [c * p**m * s ** (deg - m) for m, c in enumerate(coeffs)]
     a = u.angle  # w = exp(i*pi*a)
     n = 2 * a.denominator // gcd(a.numerator, 2)
     if n > 2 * len(r) ** 2:  # deg Phi_n = phi(n) >= sqrt(n/2) > deg r
@@ -262,8 +292,8 @@ def phase_shift_check(spec: FMTransformSpec, u: PolarScalar, e: CohClass) -> Pha
     as polynomials in u: then Z_source = zeta * Z_target at u, and both are
     nonzero."""
     law = induced_law(spec, u)
-    lhs, rhs = law_sides(spec, e)
-    if _vanishes_at(lhs, u):
+    ln, ld, rn, rd = _law_ints(spec, e)
+    if _vanishes_at(ln, u):
         raise ValueError("phase shift undefined: source charge vanishes")
     expected = int(round(u.angle * spec.g))  # arg(zeta)/pi before normalization
-    return PhaseShiftVerdict(lhs == rhs, expected, law.zeta, True)
+    return PhaseShiftVerdict(_sides_equal(ln, ld, rn, rd), expected, law.zeta, True)

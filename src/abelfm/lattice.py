@@ -2,29 +2,32 @@
 polarized abelian variety.
 
 A context fixes the dimension g and the top self-intersection number
-n = l^g > 0 of a fixed ample generator l.  A class is stored as the
-coefficient vector (c_0, ..., c_g) of sum_i c_i l^i, every entry an exact
-rational.  The product truncates above degree g, integration reads off the
-top coefficient times n, and the remaining operations implement the usual
+n = l^g > 0 of a fixed ample generator l.  A class is the coefficient
+vector (c_0, ..., c_g) of sum_i c_i l^i, every entry an exact rational.
+The product truncates above degree g, integration reads off the top
+coefficient times n, and the remaining operations implement the usual
 numerical calculus of Chern characters inside this lattice: divided-power
 exponentials, B-field twists, the degree-alternating dual, the pairing
 <a, b> = -integral(dual(a) * b), and the factorial-rescaled coordinates
 used by the transform module.
 
-Products run on one private integer kernel, shared with the transform
-module: `_ints` writes a coefficient tuple as integer numerators over one
-common denominator, `_exp_ints` does the same for a divided-power
-exponential, `_conv` is the truncated product of two numerator lists, and
-`_from_ints` builds one `Fraction` per output coefficient.
+A class stores integer numerators C_0..C_g over one denominator D, with
+D > 0 and gcd(C_0, ..., C_g, D) = 1.  That form is unique, so equality
+compares integers, and every internal result is brought to it by one gcd
+in `CohClass._new`.  The coefficients c_i = C_i / D are built as Fractions
+only when `c` is read.  Products run on one private integer kernel, shared
+with the transform and stability modules: `_exp_ints` writes a
+divided-power exponential as numerators over one denominator, and `_conv`
+is the truncated product of two numerator lists.
 
-All types are frozen dataclasses and all operations are pure functions.
+All types are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .surd import as_fraction
 
@@ -72,53 +75,92 @@ def chi_advisory(ctx: AbelianContext) -> str | None:
 
 
 def _require_match(a: AbelianContext, b: AbelianContext, op: str) -> None:
-    if not a.matches(b):
+    if a is not b and not a.matches(b):
         raise ContextMismatchError(
             f"{op}: context mismatch, (g={a.g}, n={a.n}) vs (g={b.g}, n={b.n})"
         )
 
 
-@dataclass(frozen=True)
 class CohClass:
-    """Coefficients (c_0, ..., c_g) of a class sum_i c_i l^i."""
+    """Coefficients (c_0, ..., c_g) of a class sum_i c_i l^i, stored as
+    integer numerators (C_0, ..., C_g) over one denominator D > 0 with
+    gcd(C_0, ..., C_g, D) = 1."""
 
-    ctx: AbelianContext
-    c: tuple[Fraction, ...]
+    __slots__ = ("ctx", "_nums", "_den")
 
-    def __post_init__(self):
-        coeffs = tuple(as_fraction(x) for x in self.c)
-        if len(coeffs) != self.ctx.g + 1:
-            raise ValueError(
-                f"class needs {self.ctx.g + 1} coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "c", coeffs)
+    def __new__(cls, ctx: AbelianContext, c):
+        coeffs = [as_fraction(x) for x in c]
+        if len(coeffs) != ctx.g + 1:
+            raise ValueError(f"class needs {ctx.g + 1} coefficients, got {len(coeffs)}")
+        return CohClass._new(ctx, *_ints(coeffs))
+
+    @staticmethod
+    def _new(ctx: AbelianContext, nums, den: int) -> "CohClass":
+        """The class with coefficients nums[i] / den for integers nums and
+        den != 0, brought to canonical form by one gcd; the sign of a
+        negative den moves to the numerators."""
+        g = gcd(*nums, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = tuple([x // g for x in nums]), den // g
+        e = _object_new(CohClass)
+        _set_ctx(e, ctx)
+        _set_nums(e, tuple(nums))
+        _set_den(e, den)
+        return e
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (CohClass, (self.ctx, self.c))
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
 
     @classmethod
     def zero(cls, ctx: AbelianContext) -> "CohClass":
-        return cls(ctx, (Fraction(0),) * (ctx.g + 1))
+        return CohClass._new(ctx, (0,) * (ctx.g + 1), 1)
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self._nums)
 
     def scale(self, q) -> "CohClass":
         q = as_fraction(q)
-        return CohClass(self.ctx, tuple(q * x for x in self.c))
+        p = q.numerator
+        return CohClass._new(self.ctx, [p * x for x in self._nums], self._den * q.denominator)
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
             return NotImplemented
         _require_match(self.ctx, other.ctx, "add")
-        return CohClass(self.ctx, tuple(a + b for a, b in zip(self.c, other.c)))
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return CohClass._new(self.ctx, [a + b for a, b in zip(self._nums, other._nums)], d1)
+        return CohClass._new(
+            self.ctx, [a * d2 + b * d1 for a, b in zip(self._nums, other._nums)], d1 * d2
+        )
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
             return NotImplemented
         _require_match(self.ctx, other.ctx, "sub")
-        return CohClass(self.ctx, tuple(a - b for a, b in zip(self.c, other.c)))
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return CohClass._new(self.ctx, [a - b for a, b in zip(self._nums, other._nums)], d1)
+        return CohClass._new(
+            self.ctx, [a * d2 - b * d1 for a, b in zip(self._nums, other._nums)], d1 * d2
+        )
 
     def __neg__(self) -> "CohClass":
-        return self.scale(-1)
+        return CohClass._new(self.ctx, self._nums, -self._den)
 
     def __mul__(self, other):
         if isinstance(other, CohClass):
@@ -134,8 +176,29 @@ class CohClass:
         except TypeError:
             return NotImplemented
 
+    def __eq__(self, other):
+        if not isinstance(other, CohClass):
+            return NotImplemented
+        return (
+            self._den == other._den
+            and self._nums == other._nums
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, self._nums, self._den))
+
+    def __repr__(self):
+        return f"CohClass(ctx={self.ctx!r}, c={self.c!r})"
+
     def __str__(self):
         return ",".join(str(x) for x in self.c)
+
+
+_object_new = object.__new__
+_set_ctx = CohClass.__dict__["ctx"].__set__
+_set_nums = CohClass.__dict__["_nums"].__set__
+_set_den = CohClass.__dict__["_den"].__set__
 
 
 @dataclass(frozen=True)
@@ -158,7 +221,9 @@ class VVector:
 
 
 def _ints(xs) -> tuple[list[int], int]:
-    """Integer numerators of the rationals xs over one common denominator."""
+    """Integer numerators of the reduced rationals xs over their least
+    common denominator; no prime divides every numerator and that
+    denominator, so the pair is already canonical."""
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
 
@@ -186,39 +251,32 @@ def _conv(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _from_ints(ctx: AbelianContext, nums: list[int], den: int) -> CohClass:
-    """The class with coefficients nums[i] / den."""
-    return CohClass(ctx, tuple(Fraction(x, den) for x in nums))
-
-
 def mul(a: CohClass, b: CohClass) -> CohClass:
     """Cup product, truncated above degree g."""
     _require_match(a.ctx, b.ctx, "mul")
-    na, da = _ints(a.c)
-    nb, db = _ints(b.c)
-    return _from_ints(a.ctx, _conv(na, nb), da * db)
+    return CohClass._new(a.ctx, _conv(a._nums, b._nums), a._den * b._den)
 
 
 def integrate(a: CohClass) -> Fraction:
     """Integral over the variety: top coefficient times n."""
-    return a.c[a.ctx.g] * a.ctx.n
+    n = a.ctx.n
+    return Fraction(a._nums[-1] * n.numerator, a._den * n.denominator)
 
 
 def exp_div(b, ctx: AbelianContext) -> CohClass:
     """Divided-power exponential e^{b*l} = sum b^i/i! * l^i, truncated."""
-    return _from_ints(ctx, *_exp_ints(as_fraction(b), ctx.g))
+    return CohClass._new(ctx, *_exp_ints(as_fraction(b), ctx.g))
 
 
 def twist(a: CohClass, b) -> CohClass:
     """B-field twist ch^B = e^{-b*l} * a for B = b*l."""
     ne, de = _exp_ints(-as_fraction(b), a.ctx.g)
-    na, da = _ints(a.c)
-    return _from_ints(a.ctx, _conv(ne, na), de * da)
+    return CohClass._new(a.ctx, _conv(ne, a._nums), de * a._den)
 
 
 def mukai_dual(a: CohClass) -> CohClass:
     """Degree-alternating dual: c_i goes to (-1)^i c_i."""
-    return CohClass(a.ctx, tuple((-1) ** i * x for i, x in enumerate(a.c)))
+    return CohClass._new(a.ctx, [-x if i & 1 else x for i, x in enumerate(a._nums)], a._den)
 
 
 def mukai_pairing(a: CohClass, b: CohClass) -> Fraction:

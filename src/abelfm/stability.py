@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import atan2, factorial, floor, lcm, pi
 from typing import Sequence
 
-from .lattice import AbelianContext, CohClass, _ints, twist
+from .lattice import AbelianContext, CohClass, twist
 from .surd import Q3, SurdComplex, as_fraction, as_q3, direction_pi
 from .transform import ShiftedClass
 
@@ -75,12 +75,12 @@ def _split(e) -> tuple[CohClass, int]:
 def _charge_ints(ctx: AbelianContext, e: CohClass, k: int) -> tuple[list[int], int]:
     """Integer numerators N_0..N_g of the coefficients of charge_poly over
     one denominator den = n_den * c_den * g!, where C_i / c_den are the
-    coefficients of e: N_m = (-1)^m * n_num * C_(g-m) * g!/m! when g - m <= k,
-    else 0."""
+    stored coefficients of e: N_m = (-1)^m * n_num * C_(g-m) * g!/m! when
+    g - m <= k, else 0."""
     if not e.ctx.matches(ctx):
         raise ValueError("charge_poly: class context does not match")
     g, n = ctx.g, ctx.n
-    cs, c_den = _ints(e.c)
+    cs, c_den = e._nums, e._den
     nums = [0] * (g + 1)
     f = n.numerator  # n_num * g!/m!, built downwards from m = g
     for m in range(g, max(g - k, 0) - 1, -1):

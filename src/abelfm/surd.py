@@ -372,9 +372,14 @@ _set_im = SurdComplex.__dict__["im"].__set__
 
 
 def normalize_angle(a: Fraction) -> Fraction:
-    """Reduce an angle, given in multiples of pi, into (-1, 1]."""
-    a = as_fraction(a) % 2
-    return a - 2 if a > 1 else a
+    """Reduce an angle, given in multiples of pi, into (-1, 1]: the
+    numerator p of a = p/q is taken mod 2q, which keeps it prime to q."""
+    a = as_fraction(a)
+    p, q = a.numerator, a.denominator
+    if -q < p <= q:
+        return a
+    p %= 2 * q
+    return Fraction(p - 2 * q if p > q else p, q)
 
 
 # cos and sin of f*pi for |f| with denominator dividing 6, f normalized

@@ -14,11 +14,11 @@ by a twist d_Y on the target (`antidiag_matrix` between `lattice.v_vector`
 and `lattice.from_v_vector`).  `apply` computes the same map in one fused
 pass on the lattice's integer kernel, e -> e^{d_Y l} * R(e^{d_X l} * e),
 where R is the scaled reversal R(c)_i = (g!/r)(-1)^i (g-i)!/(i! n_Y) c_{g-i}:
-integer numerators over one common denominator throughout, and one
-`Fraction` per output coefficient.  The composite of a transform with its
-reverse acts as (-1)^g times the identity, which pins down all sign and
-shift conventions used here; the quasi-inverse therefore carries an
-explicit homological shift by g.
+integer numerators over one common denominator throughout, read from the
+class and handed back to it with one gcd.  The composite of a transform
+with its reverse acts as (-1)^g times the identity, which pins down all
+sign and shift conventions used here; the quasi-inverse therefore carries
+an explicit homological shift by g.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .lattice import (
     ContextMismatchError,
     _conv,
     _exp_ints,
-    _from_ints,
-    _ints,
     exp_div,
     line_bundle,
     mukai_pairing,
@@ -135,8 +133,7 @@ def apply(spec: FMTransformSpec, e: CohClass) -> CohClass:
         )
     g = spec.g
     nx, dx = _exp_ints(spec.d_x, g)
-    ne, de = _ints(e.c)
-    t = _conv(nx, ne)
+    t = _conv(nx, e._nums)
     a, b = spec.dst.n.numerator, spec.dst.n.denominator
     fg = factorial(g)
     rev = []
@@ -144,7 +141,7 @@ def apply(spec: FMTransformSpec, e: CohClass) -> CohClass:
         x = fg // factorial(i) * factorial(g - i) * b * t[g - i]
         rev.append(-x if i & 1 else x)
     ny, dy = _exp_ints(spec.d_y, g)
-    return _from_ints(spec.dst, _conv(ny, rev), dy * spec.r * a * dx * de)
+    return CohClass._new(spec.dst, _conv(ny, rev), dy * spec.r * a * dx * e._den)
 
 
 def quasi_inverse(spec: FMTransformSpec) -> QuasiInverse:

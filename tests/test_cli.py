@@ -401,8 +401,13 @@ def test_output_past_int_str_limit_prints_nothing(capsys, tmp_path, int_str_limi
     path.write_text(json.dumps(cfg), encoding="utf-8")
     rc, out, err = run(capsys, ["transform", "--config", str(path), "--class", "1,0,0"])
     assert (rc, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert f"({int_str_limit} digits)" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: transform: a result number")
+    assert f"({int_str_limit} digits)" in err and "PYTHONINTMAXSTRDIGITS" in err
+    # reading such a number from a flag is named as an input, with the same knob
+    rc, out, err = run(capsys, ["zeta", "--config", str(path), "--u", "9" * 5000 + "@1/2"])
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: zeta: an input number")
+    assert f"({int_str_limit} digits)" in err and "PYTHONINTMAXSTRDIGITS" in err
 
 
 def test_walls_recheck_names_the_failing_cell(capsys, scan_cfg, monkeypatch):
@@ -478,7 +483,7 @@ leaves = st.one_of(
     st.booleans(),
     st.none(),
     st.lists(st.integers(-2, 6), max_size=3),
-    st.just({}),
+    st.builds(dict),  # a fresh dict per draw: the strategy below mutates blocks
 )
 rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 

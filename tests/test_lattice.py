@@ -1,7 +1,9 @@
 """Truncated lattice ring: products, twists, pairing, coordinate maps."""
 
+import copy
+import pickle
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from abelfm.lattice import (
     twist,
     v_vector,
 )
+from abelfm.transform import FMTransformSpec, apply
 
 F = Fraction
 
@@ -221,6 +224,11 @@ def _coeff_pairs():
     )
 
 
+def _exp(x, g):
+    # e^{x l} = sum x^i/i! l^i, truncated
+    return tuple(x**i / factorial(i) for i in range(g + 1))
+
+
 def _schoolbook(xs, ys):
     # truncated product, one Fraction operation at a time
     g = len(xs) - 1
@@ -238,13 +246,125 @@ def test_integer_kernel_matches_schoolbook_convolution(pair, b):
     g = len(xs) - 1
     ctx = AbelianContext(g, F(3, 2))
     a, c = CohClass(ctx, tuple(xs)), CohClass(ctx, tuple(ys))
-
-    def exp(x):
-        return tuple(x**i / factorial(i) for i in range(g + 1))
-
     prod = mul(a, c)
     assert prod.c == _schoolbook(xs, ys)
     assert all(type(x) is F for x in prod.c)
-    assert exp_div(b, ctx).c == exp(b)
-    assert twist(a, b).c == _schoolbook(exp(-b), xs)
+    assert exp_div(b, ctx).c == _exp(b, g)
+    assert twist(a, b).c == _schoolbook(_exp(-b, g), xs)
     assert mukai_pairing(a, c) == -sum((-1) ** i * xs[i] * ys[g - i] for i in range(g + 1)) * ctx.n
+
+
+# ------------------------------------------------------- representation --
+
+
+def _ref_apply(xs, spec):
+    # e -> e^{d_y l} * R(e^{d_x l} * e), R(c)_i = (g!/r)(-1)^i (g-i)!/(i! n_Y) c_(g-i)
+    g = spec.g
+    t = _schoolbook(_exp(spec.d_x, g), xs)
+    rev = tuple(
+        F(factorial(g), spec.r) * (-1) ** i * factorial(g - i) / (factorial(i) * spec.dst.n) * t[g - i]
+        for i in range(g + 1)
+    )
+    return _schoolbook(_exp(spec.d_y, g), rev)
+
+
+def _canonical(e, ref):
+    """e holds ref as integer numerators over one positive denominator that
+    share no common factor, and compares and hashes like ref rebuilt."""
+    nums, den = e._nums, e._den
+    assert type(nums) is tuple and all(type(x) is int for x in (*nums, den))
+    assert den > 0 and gcd(*nums, den) == 1
+    assert e.c == tuple(ref) and all(type(x) is F for x in e.c)
+    same = CohClass(e.ctx, ref)
+    assert e == same and hash(e) == hash(same)
+    return e
+
+
+@st.composite
+def _class_pairs(draw):
+    g = draw(st.integers(1, 8))
+    xs = tuple(draw(st.lists(wide_rat, min_size=g + 1, max_size=g + 1)))
+    kind = draw(st.sampled_from(["free", "zero", "complement", "equal-den"]))
+    if kind == "zero":
+        ys = (F(0),) * (g + 1)
+    elif kind == "complement":  # xs + ys has integer entries, so the sum reduces
+        ys = tuple(draw(st.integers(-3, 3)) - x for x in xs)
+    elif kind == "equal-den":
+        den = draw(st.integers(1, 10**6))
+        ys = tuple(F(draw(st.integers(-(10**30), 10**30)), den) for _ in range(g + 1))
+    else:
+        ys = tuple(draw(st.lists(wide_rat, min_size=g + 1, max_size=g + 1)))
+    return xs, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _class_pairs(),
+    wide_rat,
+    wide_rat,
+    st.integers(1, 4),
+    st.sampled_from([F(1), F(2), F(3, 2), F(5, 7)]),
+    wide_rat,
+    wide_rat,
+)
+def test_canonical_numerators_match_a_fraction_reference(pair, q, b, r, n_x, d_x, d_y):
+    xs, ys = pair
+    g = len(xs) - 1
+    ctx = AbelianContext(g, F(3, 2), "X")
+    a, c = CohClass(ctx, xs), CohClass(ctx, ys)
+    _canonical(a, xs)
+    _canonical(c, ys)
+    assert (a == c) == (xs == ys) and (a.is_zero, c.is_zero) == (not any(xs), not any(ys))
+    _canonical(a + c, tuple(x + y for x, y in zip(xs, ys)))
+    _canonical(a - c, tuple(x - y for x, y in zip(xs, ys)))
+    _canonical(c - a, tuple(y - x for x, y in zip(xs, ys)))
+    _canonical(-a, tuple(-x for x in xs))
+    _canonical(a.scale(q), tuple(q * x for x in xs))
+    _canonical(mukai_dual(a), tuple((-1) ** i * x for i, x in enumerate(xs)))
+    _canonical(mul(a, c), _schoolbook(xs, ys))
+    _canonical(twist(a, b), _schoolbook(_exp(-b, g), xs))
+    spec = FMTransformSpec(
+        src=AbelianContext(g, n_x, "X"),
+        dst=AbelianContext(g, F(factorial(g)) ** 2 / (r * r * n_x), "Y"),
+        r=r,
+        d_x=d_x,
+        d_y=d_y,
+    )
+    _canonical(apply(spec, CohClass(spec.src, xs)), _ref_apply(xs, spec))
+    # text, copies and pickles behave as for a frozen dataclass of Fractions
+    assert repr(a) == f"CohClass(ctx={ctx!r}, c={xs!r})"
+    assert str(a) == ",".join(str(x) for x in xs)
+    for dup in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert _canonical(dup, xs) == a
+
+
+def test_internal_results_reduce_to_one_form():
+    ctx = AbelianContext(1, F(2))
+    half = CohClass(ctx, (F(2, 4), F(6, 8)))
+    assert (half._nums, half._den) == ((2, 3), 4)
+    assert CohClass._new(ctx, [2, 6], 4) == CohClass(ctx, (F(1, 2), F(3, 2)))
+    assert CohClass._new(ctx, [2, 6], -4)._den == 2  # the sign moves up
+    total = half + CohClass(ctx, (F(1, 2), F(1, 4)))
+    assert (total._nums, total._den) == ((1, 1), 1)
+    zero = half - half
+    assert zero == CohClass.zero(ctx) and (zero._nums, zero._den) == ((0, 0), 1)
+    assert (half.scale(0)._nums, half.scale(0)._den) == ((0, 0), 1)
+
+
+def test_class_is_immutable_and_keeps_its_context_label():
+    ctx = AbelianContext(2, F(2), "X")
+    e = CohClass(ctx, (1, F(1, 2), 0))
+    for name in ("c", "ctx", "_nums", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, None)
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert e.c == (1, F(1, 2), 0)
+    relabelled = CohClass(AbelianContext(2, F(2), "Y"), e.c)
+    assert relabelled != e and relabelled.c == e.c
+    with pytest.raises(TypeError):
+        CohClass(ctx, (1, 0.5, 0))
+    with pytest.raises(TypeError):
+        CohClass(ctx, (1, True, 0))
+    with pytest.raises(ValueError):
+        CohClass(ctx, (1, 0))

@@ -1,5 +1,6 @@
 """Wall scanner: exact sign-change detection, flags, emission formats."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -12,6 +13,7 @@ from abelfm.scan import (
     RecheckFailure,
     ScanRequest,
     WallCell,
+    _crosses,
     emit,
     emit_csv,
     emit_json,
@@ -21,6 +23,8 @@ from abelfm.scan import (
     render,
     scan_walls,
 )
+from abelfm.stability import ChargeSpec, charge
+from abelfm.transform import FMTransformSpec, apply
 
 F = Fraction
 
@@ -91,6 +95,19 @@ def test_degenerate_probe_flagged():
     assert ds.v_degenerate
     assert ds.cells == ()  # wall polynomial vanishes identically too
     assert ds.trivial_walls == (0,)
+
+
+def test_probe_with_vanishing_real_part_is_not_degenerate():
+    # at g = k = 4 a 2x2 grid puts 4 linear conditions on the 5
+    # coefficients of Re Z(v); this v solves them, but Im Z(v) does not vanish
+    ctx = AbelianContext(4, F(24))
+    v = CohClass(ctx, (12, 6, 5, 2, 2))
+    req = ScanRequest(ctx, 4, v, (structure_sheaf(ctx),), (F(0), F(1)), (F(1), F(2)), (2, 2))
+    for b in req.b_range:
+        for t in req.t_range:
+            z = charge(ChargeSpec(ctx, 4, b, t), v)
+            assert z.re == 0 and z.im != 0
+    assert not scan_walls(req).v_degenerate
 
 
 def test_semicircle_wall_cells_verified():
@@ -314,3 +331,78 @@ def test_scan_memory_does_not_grow_with_the_grid():
         tracemalloc.stop()
     assert ds.trivial_walls == (0,)
     assert peak < 2**20
+
+
+# ------------------------------------------------- wall transport oracle --
+#
+# The induced law Z_X(e)(-d_x + u) = zeta(u) * Z_Y(Phi e)(d_y - 1/u) at level
+# g makes W_X(v, w) at beta = b + it a positive multiple, |zeta|^2, of
+# W_Y(Phi v, Phi w) at beta' = d_y - 1/(beta + d_x), which has rational parts
+# and t' > 0.  So a level-g scan on X can be checked on Y, through another
+# context, other classes and other charge parameters.
+
+
+def _transported_sign(spec, v_img, w_img, b, t):
+    """Sign of W_Y(Phi v, Phi w) at d_y - 1/(b + it + d_x), from the public
+    charge on the target."""
+    x = b + spec.d_x
+    m = x * x + t * t
+    at = ChargeSpec(spec.dst, spec.g, spec.d_y - x / m, t / m)
+    zv, zw = charge(at, v_img), charge(at, w_img)
+    return (zw.re * zv.im - zv.re * zw.im).sign()
+
+
+@st.composite
+def transport_cases(draw):
+    g = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 4))
+    n_x = draw(st.sampled_from([F(1), F(2), F(3, 2), F(6), F(5, 4)]))
+    d_x, d_y = (draw(st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3), F(-3, 4)])) for _ in "xy")
+    spec = FMTransformSpec(
+        src=AbelianContext(g, n_x, "X"),
+        dst=AbelianContext(g, F(factorial(g)) ** 2 / (r * r * n_x), "Y"),
+        r=r,
+        d_x=d_x,
+        d_y=d_y,
+    )
+    cls = st.lists(coeff, min_size=g + 1, max_size=g + 1).map(lambda c: CohClass(spec.src, tuple(c)))
+    v = draw(cls)
+    walls = draw(st.lists(cls, min_size=1, max_size=2))
+    nb, nt = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    db, dt = (draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(1)])) for _ in "bt")
+    b0 = draw(st.integers(-nb, 1)) * db
+    t0 = draw(st.integers(1, 4)) * dt
+    req = ScanRequest(
+        ctx=spec.src,
+        k=g,
+        v=v,
+        walls=tuple(walls),
+        b_range=(b0, b0 + (nb - 1) * db),
+        t_range=(t0, t0 + (nt - 1) * dt),
+        resolution=(nb, nt),
+    )
+    return spec, req, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(transport_cases())
+def test_wall_transport_oracle(case):
+    spec, req, seed = case
+    ds = scan_walls(req)
+    nb, nt = req.resolution
+    (b0, b1), (t0, t1) = req.b_range, req.t_range
+    db, dt = (b1 - b0) / (nb - 1), (t1 - t0) / (nt - 1)
+    v_img = apply(spec, req.v)
+    emitted = {(c.w_index, c.b, c.t) for c in ds.cells}
+    rng = random.Random(seed)
+    for wi, w in enumerate(req.walls):
+        w_img = apply(spec, w)
+        every = [(b0 + x * db, t0 + y * dt) for x in range(nb - 1) for y in range(nt - 1)]
+        on = [bt for bt in every if (wi, *bt) in emitted]
+        off = [bt for bt in every if (wi, *bt) not in emitted]
+        for b, t in on + rng.sample(off, min(len(off), 12)):
+            quad = tuple(
+                _transported_sign(spec, v_img, w_img, b + i * db, t + j * dt)
+                for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))
+            )
+            assert _crosses(quad) == ((b, t) in on), (wi, b, t, quad)
