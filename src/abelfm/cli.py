@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -281,17 +282,28 @@ def main(argv=None) -> int:
     return status
 
 
+# Python's text, at the end of the message or of a parenthesis around it
+_INT_STR_LIMIT = re.compile(
+    r"Exceeds the limit \(\d+ digits\) for integer string conversion"
+    r"(: value has \d+ digits)?; use sys\.set_int_max_str_digits\(\) to increase the limit\)?$"
+)
+
+
 def _error_text(verb: str, exc: Exception) -> str:
     """The message of a verb's error.  Python's own text for a number past
     the int-to-str digit limit names neither the number nor a knob that a
     command-line user has, so it is replaced by one that does.  Python says
     "... conversion: value has N digits" when reading such a number and
-    "... conversion; use ..." when printing one."""
+    "... conversion; use ..." when printing one.  Whatever the config
+    reader put before that text names the field or file the number came
+    from; a bare text comes from a flag or a result, named by the verb."""
     text = str(exc)
-    if isinstance(exc, ValueError) and text.startswith("Exceeds the limit ("):
-        what = "an input" if "value has" in text else "a result"
+    m = _INT_STR_LIMIT.search(text)
+    if isinstance(exc, ValueError) and m:
+        where = text[: m.start()].rstrip(" (:") or verb
+        what = "an input" if m.group(1) else "a result"
         return (
-            f"{verb}: {what} number exceeds the int-to-str limit"
+            f"{where}: {what} number exceeds the int-to-str limit"
             f" ({sys.get_int_max_str_digits()} digits); raise the limit with the"
             " environment variable PYTHONINTMAXSTRDIGITS"
         )

@@ -29,6 +29,7 @@ from .transform import FMTransformSpec
 # Requests past these caps are refused before anything is allocated for them.
 MAX_G = 100  # dimension g of a context or transform
 MAX_RESOLUTION = 10_000  # grid points on each scan axis
+MAX_WALLS = 100  # wall classes in one scan
 
 
 class ConfigError(ValueError):
@@ -147,6 +148,10 @@ def scan_from(cfg: dict, ctx: AbelianContext) -> ScanRequest:
     walls_raw = _need(block, "walls", "scan")
     if not isinstance(walls_raw, list):
         raise ConfigError("scan.walls: want a list of class literals")
+    if len(walls_raw) > MAX_WALLS:
+        raise ConfigError(
+            f"scan.walls: {len(walls_raw)} wall classes exceeds the limit of {MAX_WALLS}"
+        )
     rng = {}
     for key in ("b_range", "t_range"):
         pair = _need(block, key, "scan")

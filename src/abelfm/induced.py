@@ -10,13 +10,14 @@ it is real with sign (-1)^k.
 
 Both sides of the identity are polynomials in u over Q (zeta's u^g clears
 the powers of 1/u), so it is decided exactly, for every angle and every g,
-by comparing coefficients.  Each side is built on integers: the charge
-numerators of the class (or of its image) over one denominator are Taylor
-shifted by h = a/q as an integer shift by a between two rescalings by
-powers of q.  A side is thus a list of integer numerators over one
-denominator, and the two sides are compared by cross-multiplying.  Values
-at u are shown over Q(sqrt 3) when its angle lies in the pi/6 family (every
-k*pi/g with g in {1, 2, 3, 6}), and as coefficient lists in u otherwise.
+by comparing coefficients.  Each side is built on integers with the B-field
+twist ch^B = e^{-B}*ch: the charge of a class at h + u is the charge of its
+twist by h at u.  So the source side is the charge polynomial of the class
+twisted by -d_x, and the target side that of its image twisted by d_y.
+Each is a list of integer numerators over one denominator, and the two
+sides are compared by cross-multiplying.  Values at u are shown over
+Q(sqrt 3) when its angle lies in the pi/6 family (every k*pi/g with g in
+{1, 2, 3, 6}), and as coefficient lists in u otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Sequence
 
-from .lattice import AbelianContext, CohClass
+from .lattice import AbelianContext, CohClass, twist
 from .stability import _charge_ints, _horner_ints
 from .surd import PolarScalar, SurdComplex, as_fraction
 from .transform import FMTransformSpec, apply
@@ -123,29 +124,17 @@ def conjecture_params(
     return law.omega_src, law.omega_dst
 
 
-def _shifted_ints(nums: Sequence[int], den: int, h: Fraction) -> tuple[list[int], int]:
-    """Numerators over one denominator of p(x + h), where p has the
-    coefficients nums[m] / den (constant term first) and h = a/q.  The
-    integer polynomial R(y) = den * q^deg * p(y/q) is shifted by the integer
-    a, then coefficient m is rescaled by q^m, over the denominator
-    den * q^deg."""
-    a, q = h.numerator, h.denominator
-    deg = len(nums) - 1
-    qs = [q**m for m in range(deg + 1)]
-    p = [x * qs[deg - m] for m, x in enumerate(nums)]
-    for i in range(deg):
-        for j in range(deg - 1, i - 1, -1):
-            p[j] += a * p[j + 1]
-    return [x * qs[m] for m, x in enumerate(p)], den * qs[deg]
-
-
 def _law_ints(spec: FMTransformSpec, e: CohClass) -> tuple[list[int], int, list[int], int]:
     """Both sides of the transport identity as integer numerators over one
     denominator each: (lhs numerators, lhs denominator, rhs numerators,
-    rhs denominator), coefficients in u with the constant term first."""
+    rhs denominator), coefficients in u with the constant term first.  The
+    source side is minus the plain integral of e twisted by -d_x.  With q
+    the plain integral of the image twisted by d_y, the target side is
+    zeta(u) * -q(-1/u) = -c * sum_j q_j (-1)^j u^(g-j), where
+    zeta(u) = c * u^g."""
     g = spec.g
-    ln, ld = _shifted_ints(*_charge_ints(spec.src, e, g), -spec.d_x)
-    qn, qd = _shifted_ints(*_charge_ints(spec.dst, apply(spec, e), g), spec.d_y)
+    ln, ld = _charge_ints(spec.src, twist(e, -spec.d_x), g)
+    qn, qd = _charge_ints(spec.dst, twist(apply(spec, e), spec.d_y), g)
     c = spec.r * spec.src.n / factorial(g)
     cn = c.numerator
     # coefficient i of the target side is c * (-1)^(j+1) * q_j with j = g - i
@@ -156,16 +145,6 @@ def _law_ints(spec: FMTransformSpec, e: CohClass) -> tuple[list[int], int, list[
 def _sides_equal(ln: Sequence[int], ld: int, rn: Sequence[int], rd: int) -> bool:
     """Whether ln[i]/ld == rn[i]/rd for every i (denominators positive)."""
     return all(x * rd == y * ld for x, y in zip(ln, rn))
-
-
-def law_sides(spec: FMTransformSpec, e: CohClass) -> tuple[list[Fraction], list[Fraction]]:
-    """Both sides of the transport identity for e as coefficient lists in u,
-    constant term first.  The source side is minus the plain integral
-    shifted by -d_x.  With q the image's plain integral shifted by d_y, the
-    target side is zeta(u) * -q(-1/u) = -c * sum_j q_j (-1)^j u^(g-j), where
-    zeta(u) = c * u^g."""
-    ln, ld, rn, rd = _law_ints(spec, e)
-    return [Fraction(x, ld) for x in ln], [Fraction(y, rd) for y in rn]
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ contributes no cells.  A probe whose charge vanishes on the whole grid
 flags the dataset as degenerate.
 
 The simultaneous quarter-turn in both charges cancels inside W, so the
-scanner works with plain truncated integrals; the independent re-check in
-recheck_walls goes through the public rotated charge instead, which also
-exercises that cancellation.  Grid values are cleared to integers before
-the inner loop, so a 200 x 200 scan stays well under the time budget.
+scanner works with plain truncated integrals: the integer numerators of
+stability's one charge polynomial, rescaled to the grid and divided by
+their gcd.  The independent re-check in recheck_walls goes through the
+public rotated charge instead, which also exercises that cancellation.
+Grid values are cleared to integers before the inner loop, so a 200 x 200
+scan stays well under the time budget.
 
 Emission is byte-deterministic: fixed orderings, exact "p/q" encodings in
 CSV and JSON, fixed float formatting in SVG.
@@ -31,12 +33,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .lattice import AbelianContext, CohClass
 from .literals import format_rational_frac
-from .stability import ChargeSpec, charge, charge_poly
+from .stability import ChargeSpec, _charge_ints, charge
 from .surd import as_fraction
 
 
@@ -107,13 +109,14 @@ def _grid(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
 
 def _int_charge_coeffs(cls: CohClass, k: int, scale: int) -> list[int]:
     """Integer coefficients q_m with sum_m q_m * (scale*z)^m equal to a fixed
-    positive multiple of the plain truncated integral at z = b + i*t.  The
-    per-class positive factor is irrelevant to signs."""
+    positive multiple of the plain truncated integral at z = b + i*t, with
+    no common factor.  The per-class positive factor is irrelevant to
+    signs."""
     g = cls.ctx.g
     # scale^(g-m) re-homogenizes after substituting z -> z/scale
-    coeffs = [a * scale ** (g - m) for m, a in enumerate(charge_poly(cls.ctx, cls, k))]
-    den = lcm(*(c.denominator for c in coeffs))
-    return [int(c * den) for c in coeffs]
+    coeffs = [x * scale ** (g - m) for m, x in enumerate(_charge_ints(cls.ctx, cls, k)[0])]
+    d = gcd(*coeffs) or 1  # a zero class has only zero coefficients
+    return [x // d for x in coeffs]
 
 
 def _crosses(quad) -> bool:
@@ -333,12 +336,13 @@ def emit_svg(ds: WallDataset) -> str:
             f'<text x="{_f(_ML - 6.0)}" y="{_f(ypos + 4.0)}" font-family="monospace" '
             f'font-size="11" text-anchor="end">{lab}</text>'
         )
-    for wi in range(len(req.walls)):
+    by_wall: list[list[WallCell]] = [[] for _ in req.walls]
+    for cell in ds.cells:
+        by_wall[cell.w_index].append(cell)
+    for wi, cells in enumerate(by_wall):
         color = _PALETTE[wi % len(_PALETTE)]
         out.append(f'<g data-wall="{wi}" fill="{color}" fill-opacity="0.75">')
-        for cell in ds.cells:
-            if cell.w_index != wi:
-                continue
+        for cell in cells:
             x = px(float(cell.b))
             y = py(float(cell.t) + ch)
             out.append(

@@ -10,8 +10,10 @@ that is, minus the i^(g-k) quarter-turn of the integral of e^{-beta*l}
 against the truncation of e to degrees at most k.  At k = g this is the
 untruncated charge of the full class.  The sum is written once, in
 _charge_ints, as integer numerators N_m of its coefficients in beta over one
-denominator; charge_poly returns them as Fractions.  charge_at evaluates it
-with one integer kernel: beta's two Q(sqrt 3) parts are cleared to one
+denominator.  It is the only charge polynomial in the package: the wall
+scanner and the induced charge law read it too, the latter after moving
+beta by a B-field twist of the class (lattice.twist).  charge_at evaluates
+it with one integer kernel: beta's two Q(sqrt 3) parts are cleared to one
 denominator D, a homogenised Horner pass runs on integer 4-tuples (Re and Im
 in Z[sqrt 3]), the -i^(g-k) turn permutes and negates the tuple, and the two
 Q3 parts of the result are built once, at the end.
@@ -73,12 +75,14 @@ def _split(e) -> tuple[CohClass, int]:
 
 
 def _charge_ints(ctx: AbelianContext, e: CohClass, k: int) -> tuple[list[int], int]:
-    """Integer numerators N_0..N_g of the coefficients of charge_poly over
-    one denominator den = n_den * c_den * g!, where C_i / c_den are the
-    stored coefficients of e: N_m = (-1)^m * n_num * C_(g-m) * g!/m! when
-    g - m <= k, else 0."""
+    """Coefficients a_0..a_g, constant term first, of the plain truncated
+    integral n * sum_{i <= k} c_i * (-beta)^(g-i) / (g-i)! as a polynomial
+    in beta (a_m = n * c_(g-m) * (-1)^m / m! when g - m <= k, else 0), as
+    integer numerators N_m over one denominator den = n_den * c_den * g!.
+    With C_i / c_den the stored coefficients of e,
+    N_m = (-1)^m * n_num * C_(g-m) * g!/m!."""
     if not e.ctx.matches(ctx):
-        raise ValueError("charge_poly: class context does not match")
+        raise ValueError("charge: class context does not match")
     g, n = ctx.g, ctx.n
     cs, c_den = e._nums, e._den
     nums = [0] * (g + 1)
@@ -87,14 +91,6 @@ def _charge_ints(ctx: AbelianContext, e: CohClass, k: int) -> tuple[list[int], i
         nums[m] = -f * cs[g - m] if m % 2 else f * cs[g - m]
         f *= m
     return nums, n.denominator * c_den * factorial(g)
-
-
-def charge_poly(ctx: AbelianContext, e: CohClass, k: int) -> list[Fraction]:
-    """Coefficients a_0..a_g, constant term first, of the plain truncated
-    integral n * sum_{i <= k} c_i * (-beta)^(g-i) / (g-i)! as a polynomial
-    in beta: a_m = n * c_(g-m) * (-1)^m / m! when g - m <= k, else 0."""
-    nums, den = _charge_ints(ctx, e, k)
-    return [Fraction(x, den) for x in nums]
 
 
 def _horner_ints(nums: Sequence[int], den: int, beta: SurdComplex, turns: int) -> SurdComplex:

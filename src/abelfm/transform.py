@@ -35,7 +35,6 @@ from .lattice import (
     _conv,
     _exp_ints,
     exp_div,
-    line_bundle,
     mukai_pairing,
     twist,
 )
@@ -197,17 +196,16 @@ def gamma_action(spec: FMTransformSpec, i: int) -> GammaAction:
 
 
 def polarization_image_check(spec: FMTransformSpec, m) -> bool:
-    """Send e^{m*l_X} (m > 0) through the normalized pipeline that tensors
-    by the dual kernel fiber classes on both sides: multiply by e^{-d_x*l},
-    transform, multiply by e^{-d_y*l}.  The rank scalars of the fibers are
-    dropped; they do not affect signs.  Returns True when the image has
-    negative degree-one coefficient, so that minus the image polarization
-    is ample on the target."""
+    """Send e^{m*l_X} (m > 0) through the normalized pipeline of exp_image,
+    which tensors by the dual kernel fiber classes on both sides: multiply
+    by e^{-d_x*l}, transform, multiply by e^{-d_y*l}.  The rank scalars of
+    the fibers are dropped; they do not affect signs.  Returns True when
+    the image has negative degree-one coefficient, so that minus the image
+    polarization is ample on the target."""
     m = as_fraction(m)
     if m <= 0:
         raise ValueError(f"polarization scale must be positive, got {m}")
-    img = twist(apply(spec, twist(line_bundle(spec.src, m), spec.d_x)), spec.d_y)
-    return img.c[1] < 0
+    return exp_image(spec, m).c[1] < 0
 
 
 def exp_image(spec: FMTransformSpec, m) -> CohClass:

@@ -302,9 +302,14 @@ CHARGE_CFG = {
         ("argv", ("--bogus",), "1,0,0"),
         ("argv", ("--class", "--k"), "1,0,0"),
         ("argv", ("--bogus\nline",), "1,0,0"),
+        # numbers past Python's int-to-str limit, read from --class, from a
+        # config string and from a JSON integer
+        pytest.param("huge-class", None, "9" * 5000 + ",0,0", id="huge-class"),
+        pytest.param(("charge", "b"), "9" * 5000, "1,0,0", id="huge-string"),
+        pytest.param("huge-json-int", None, "1,0,0", id="huge-json-int"),
     ],
 )
-def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cls):
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, leaf, value, cls):
     cfg = json.loads(json.dumps(CHARGE_CFG))
     if isinstance(leaf, tuple):
         cfg[leaf[0]][leaf[1]] = value
@@ -315,6 +320,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cl
     elif leaf == "huge-int":
         # past Python's limit on decimal digits of an int
         data = data.replace(b'"g": 2', b'"g": ' + b"9" * 5000)
+    elif leaf == "huge-json-int":
+        data = data.replace(b'"b": "0"', b'"b": ' + b"9" * 5000)
     elif leaf == "not-utf8":
         data = data.replace(b'"X"', b'"\xff"')
     path = tmp_path / "cfg.json"
@@ -325,8 +332,15 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cl
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("error: ")
-    if leaf in ("huge-int", "not-utf8"):
+    if leaf in ("huge-int", "huge-json-int", "not-utf8"):
         assert err.startswith(f"error: config {path}: ")
+    if leaf in ("huge-int", "huge-class", "huge-json-int") or value == "9" * 5000:
+        assert "an input number exceeds the int-to-str limit (4300 digits)" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err and "set_int_max_str_digits" not in err
+    if leaf == "huge-class":
+        assert err.startswith("error: class: ")
+    if value == "9" * 5000:
+        assert err.startswith("error: charge: charge.b: ")
     if (leaf, value) == (("context", "n"), "1"):  # chi = 1/2: the error, not the advisory
         assert err.startswith("error: class: ")
 
@@ -340,6 +354,10 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, leaf, value, cl
                    "scan": {"k": 2, "v": "1,0,0", "walls": ["0,0,1/2"], "b_range": ["-2", "2"],
                             "t_range": ["1/100", "2"], "resolution": [2, 100_000_000]}},
          "error: scan.resolution: 100000000 points exceeds the limit of 10000 per axis"),
+        ("walls", {"context": {"g": 1, "n": "1"},
+                   "scan": {"k": 1, "v": "1,0", "walls": ["0,1"] * 101, "b_range": ["-2", "2"],
+                            "t_range": ["1/100", "2"], "resolution": [2, 10000]}},
+         "error: scan.walls: 101 wall classes exceeds the limit of 100"),
     ],
 )
 def test_oversized_request_exits_2_with_one_line(capsys, tmp_path, monkeypatch, verb, cfg, expect):
@@ -467,6 +485,36 @@ def test_params_exact_outside_pi6_family(capsys, tmp_path, g):
             assert '"equal": false' not in out
             assert "holds=True" in out and out.rstrip().endswith("exact=True")
             assert not FLOAT_LITERAL.search(out), out
+
+
+def _params_transcript(tmp: Path) -> str:
+    """params stdout for the Poincare g = 2 transform and for g = 3, 4, 5
+    with r = 2, dX = 1/2, dY = -2/3, at every k in 1..g-1 and lambda in
+    {1/2, 7/3}; each run is headed by a "## " line naming its inputs."""
+    blocks = [POINCARE2["transform"]] + [
+        {"g": g, "nX": "3", "nY": str(F(factorial(g)) ** 2 / 12), "r": 2,
+         "dX": "1/2", "dY": "-2/3"}
+        for g in (3, 4, 5)
+    ]
+    parts = []
+    for block in blocks:
+        path = tmp / f"params{block['g']}.json"
+        path.write_text(json.dumps({"transform": block}), encoding="utf-8")
+        for k in range(1, block["g"]):
+            for lam in ("1/2", "7/3"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    rc = main(["params", "--config", str(path), "--k", str(k), "--lambda", lam])
+                assert rc == 0
+                parts.append(f"## {json.dumps(block, sort_keys=True)} k={k} lambda={lam}\n")
+                parts.append(out.getvalue())
+    return "".join(parts)
+
+
+def test_params_matches_golden(tmp_path):
+    # pi/6-family values over Q(sqrt 3) (g = 2, 3) and coefficient lists in u (g = 4, 5)
+    golden = (GOLDEN / "params.txt").read_bytes().decode("utf-8")
+    assert _params_transcript(tmp_path) == golden
 
 
 # ---- fuzz: generated configs and literals through cli.main ----

@@ -12,7 +12,6 @@ from abelfm.induced import (
     ComplexAmpleClass,
     conjecture_params,
     induced_law,
-    law_sides,
     phase_shift_check,
     real_zeta_angles,
     verify_induced_law,
@@ -231,6 +230,12 @@ def _eval(coeffs, x):
         total = total + power * c
         power = power * x
     return total
+
+
+def law_sides(spec, e):
+    """Both sides of the transport identity as Fraction coefficient lists in u."""
+    ln, ld, rn, rd = induced._law_ints(spec, e)
+    return [F(x, ld) for x in ln], [F(y, rd) for y in rn]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 6])

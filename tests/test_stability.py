@@ -16,10 +16,10 @@ from abelfm.lattice import (
 from abelfm.stability import (
     ChargeSpec,
     HeartValueError,
+    _charge_ints,
     bg_check,
     charge,
     charge_at,
-    charge_poly,
     heart_tower,
     hn_polygon,
     in_slice,
@@ -123,6 +123,12 @@ def _surd_horner(coeffs, beta):
     for c in reversed(coeffs):
         acc = acc * beta + c
     return acc
+
+
+def charge_poly(ctx, e, k):
+    """The integer charge kernel as Fraction coefficients, constant term first."""
+    nums, den = _charge_ints(ctx, e, k)
+    return [Fraction(x, den) for x in nums]
 
 
 def _oracle_charge(ctx, beta, e, k):
