@@ -158,7 +158,7 @@ class LawVerdict:
     lhs: SurdComplex | tuple[Fraction, ...]
     rhs: SurdComplex | tuple[Fraction, ...]
     equal: bool
-    exact: bool
+    exact = True
 
     def to_record(self) -> dict:
         def fmt(v):
@@ -189,7 +189,7 @@ def verify_induced_law(
             shown = tuple(Fraction(x, ld) for x in ln), tuple(Fraction(y, rd) for y in rn)
         else:
             shown = _horner_ints(ln, ld, rect, 0), _horner_ints(rn, rd, rect, 0)
-        out.append(LawVerdict(f"e{idx}", *shown, _sides_equal(ln, ld, rn, rd), True))
+        out.append(LawVerdict(f"e{idx}", *shown, _sides_equal(ln, ld, rn, rd)))
     return out
 
 
@@ -222,7 +222,7 @@ class PhaseShiftVerdict:
     holds: bool
     expected_shift: int
     zeta: PolarScalar
-    exact: bool
+    exact = True
 
 
 def _divmod_monic(p: Sequence, d: Sequence[int]) -> tuple[list, list]:
@@ -275,4 +275,4 @@ def phase_shift_check(spec: FMTransformSpec, u: PolarScalar, e: CohClass) -> Pha
     if _vanishes_at(ln, u):
         raise ValueError("phase shift undefined: source charge vanishes")
     expected = int(round(u.angle * spec.g))  # arg(zeta)/pi before normalization
-    return PhaseShiftVerdict(_sides_equal(ln, ld, rn, rd), expected, law.zeta, True)
+    return PhaseShiftVerdict(_sides_equal(ln, ld, rn, rd), expected, law.zeta)

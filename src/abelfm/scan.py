@@ -38,7 +38,7 @@ from typing import Iterable
 
 from .lattice import AbelianContext, CohClass
 from .literals import format_rational_frac
-from .stability import ChargeSpec, _charge_ints, charge
+from .stability import ChargeSpec, _charge_ints, _check_level, charge
 from .surd import as_fraction
 
 
@@ -59,8 +59,7 @@ class ScanRequest:
     resolution: tuple[int, int]
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.ctx.g:
-            raise ValueError(f"level k must lie in 1..{self.ctx.g}, got {self.k}")
+        _check_level(self.k, self.ctx.g)
         b0, b1 = (as_fraction(x) for x in self.b_range)
         t0, t1 = (as_fraction(x) for x in self.t_range)
         if not b0 < b1:

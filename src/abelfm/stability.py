@@ -18,7 +18,11 @@ denominator D, a homogenised Horner pass runs on integer 4-tuples (Re and Im
 in Z[sqrt 3]), the -i^(g-k) turn permutes and negates the tuple, and the two
 Q3 parts of the result are built once, at the end.
 
-Slopes are -Re/Im with Im = 0 read as slope +infinity (returned as None).
+The level rule (k an integer in 1..g) is written once, in _check_level,
+which ChargeSpec and scan.ScanRequest both call; bg_check validates its
+(b, t) by building a ChargeSpec.  Slopes are -Re/Im with Im = 0 read as
+slope +infinity (returned as None); _slope_of computes them for slope and
+hn_polygon alike, and slope_cmp orders them.
 Phases are arg(Z)/pi in (0, 1] plus any explicit homological shift carried
 by the class.  phase() is a display value, accurate to about 1e-12.
 phase_cmp decides a comparison against a rational bound with one exact
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import atan2, factorial, floor, lcm, pi
 from typing import Sequence
 
@@ -56,14 +61,19 @@ class ChargeSpec:
     t: Q3 = Q3(1)
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"level k must be an integer, got {self.k!r}")
-        if not 1 <= self.k <= self.ctx.g:
-            raise ValueError(f"level k must lie in 1..{self.ctx.g}, got {self.k}")
+        _check_level(self.k, self.ctx.g)
         object.__setattr__(self, "b", as_fraction(self.b))
         object.__setattr__(self, "t", as_q3(self.t))
         if self.t.sign() <= 0:
             raise ValueError(f"omega scale t must be positive, got {self.t}")
+
+
+def _check_level(k, g: int) -> None:
+    """The level rule: k is an integer, not a bool, in 1..g."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"level k must be an integer, got {k!r}")
+    if not 1 <= k <= g:
+        raise ValueError(f"level k must lie in 1..{g}, got {k}")
 
 
 def _split(e) -> tuple[CohClass, int]:
@@ -141,10 +151,11 @@ def charge(spec: ChargeSpec, e) -> SurdComplex:
 
 def slope(spec: ChargeSpec, e) -> Q3 | None:
     """-Re/Im of the charge; None encodes slope +infinity (Im = 0)."""
-    z = charge(spec, e)
-    if z.im.sign() == 0:
-        return None
-    return -z.re / z.im
+    return _slope_of(charge(spec, e))
+
+
+def _slope_of(z: SurdComplex) -> Q3 | None:
+    return None if z.im.sign() == 0 else -z.re / z.im
 
 
 def slope_cmp(a: Q3 | None, b: Q3 | None) -> int:
@@ -287,24 +298,13 @@ def hn_polygon(factors: Sequence, spec: ChargeSpec) -> HNPolygon:
         x = x + z.im
         y = y - z.re
         vertices.append((x, y))
-        slopes.append(None if z.im.sign() == 0 else -z.re / z.im)
+        slopes.append(_slope_of(z))
     valid = all(
         slope_cmp(slopes[i], slopes[i + 1]) >= 0 for i in range(len(slopes) - 1)
     )
-    order = sorted(range(len(slopes)), key=lambda i: _SlopeKey(slopes[i]))
+    by_slope = cmp_to_key(lambda i, j: slope_cmp(slopes[j], slopes[i]))
+    order = sorted(range(len(slopes)), key=by_slope)
     return HNPolygon(tuple(vertices), tuple(slopes), valid, tuple(order))
-
-
-class _SlopeKey:
-    """Sort key for non-increasing slope order with None as +infinity."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s: Q3 | None):
-        self.s = s
-
-    def __lt__(self, other: "_SlopeKey") -> bool:
-        return slope_cmp(self.s, other.s) > 0
 
 
 @dataclass(frozen=True)
@@ -332,10 +332,8 @@ def bg_check(ctx: AbelianContext, b, t, e: CohClass) -> BGVerdict:
         raise ValueError(f"bg_check needs g = 3, got g = {ctx.g}")
     if not e.ctx.matches(ctx):
         raise ValueError("bg_check: class context does not match")
-    b = as_fraction(b)
-    t = as_q3(t)
-    if t.sign() <= 0:
-        raise ValueError(f"omega scale t must be positive, got {t}")
+    spec = ChargeSpec(ctx, 2, b, t)  # validates b and t
+    b, t = spec.b, spec.t
     tw = twist(e, b)
     z2 = charge_at(ctx, SurdComplex(Q3(b), t), e, 2)
     precondition = z2.re.sign() == 0 and not z2.is_zero

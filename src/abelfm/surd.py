@@ -4,11 +4,13 @@ of pi.
 
 Numbers of the form r + s*sqrt(3) with rational r, s are closed under the
 four field operations and admit exact sign decisions, so every comparison
-made with them is certain, not a float guess.  They contain the cosine
-and sine of every multiple of pi/6, which covers the angles k*pi/g for g
-in {1, 2, 3, 6}, and a positive multiple of the unit vector at every
-multiple of pi/12.  A polar scalar at any other angle stays in polar
-form: it has no rectangular form here, and nothing rounds it to one.
+made with them is certain, not a float guess.  The twelve unit vectors at
+the multiples of pi/6, which cover the angles k*pi/g for g in
+{1, 2, 3, 6}, are built once, as the exact powers of
+exp(i*pi/6) = (sqrt 3 + i)/2; both the rectangular form of a polar scalar
+and the direction at a multiple of pi/12 (a positive multiple of its unit
+vector) read that one list.  A polar scalar at any other angle stays in
+polar form: it has no rectangular form here, and nothing rounds it to one.
 
 A Q3 is stored as one integer triple (a, b, d) standing for
 (a + b*sqrt 3)/d, with d > 0 and gcd(a, b, d) = 1.  That form is unique, so
@@ -382,52 +384,30 @@ def normalize_angle(a: Fraction) -> Fraction:
     return Fraction(p - 2 * q if p > q else p, q)
 
 
-# cos and sin of f*pi for |f| with denominator dividing 6, f normalized
-_HALF = Fraction(1, 2)
-_COS_PI = {
-    Fraction(0): Q3(1),
-    Fraction(1, 6): Q3(0, _HALF),
-    Fraction(1, 3): Q3(_HALF),
-    Fraction(1, 2): Q3(0),
-    Fraction(2, 3): Q3(-_HALF),
-    Fraction(5, 6): Q3(0, -_HALF),
-    Fraction(1): Q3(-1),
-}
-_SIN_PI = {
-    Fraction(0): Q3(0),
-    Fraction(1, 6): Q3(_HALF),
-    Fraction(1, 3): Q3(0, _HALF),
-    Fraction(1, 2): Q3(1),
-    Fraction(2, 3): Q3(0, _HALF),
-    Fraction(5, 6): Q3(_HALF),
-    Fraction(1): Q3(0),
-}
+_E6 = SurdComplex(Q3(0, Fraction(1, 2)), Q3(Fraction(1, 2)))  # exp(i*pi/6)
+_UNITS = [SurdComplex(1)]  # exp(i*j*pi/6) for j = 0..11, as powers of _E6
+for _ in range(11):
+    _UNITS.append(_UNITS[-1] * _E6)
 
 
-def cos_pi(f: Fraction) -> Q3 | None:
-    """Exact cos(f*pi) when available in Q(sqrt 3), else None."""
-    return _COS_PI.get(abs(normalize_angle(f)))
-
-
-def sin_pi(f: Fraction) -> Q3 | None:
-    f = normalize_angle(f)
-    v = _SIN_PI.get(abs(f))
-    if v is None:
-        return None
-    return -v if f < 0 else v
+def _unit(f: Fraction) -> SurdComplex | None:
+    """exp(i*f*pi) when 6f is an integer, else None."""
+    j = 6 * f
+    return _UNITS[j.numerator % 12] if j.denominator == 1 else None
 
 
 def direction_pi(f: Fraction) -> SurdComplex | None:
     """A positive multiple of exp(i*f*pi) when 12f is an integer, else None.
-    Odd multiples of pi/12 come from the pi/6-family angle f - 1/4: turning
-    c + i*s by pi/4 and scaling by sqrt(2) gives (c - s) + i*(c + s)."""
+    Odd multiples of pi/12 come from the unit vector c + i*s at f - 1/4:
+    turning it by pi/4 and scaling by sqrt(2) gives (c - s) + i*(c + s)."""
     f = as_fraction(f)
     if (12 * f).denominator != 1:
         return None
-    if (6 * f).denominator == 1:
-        return SurdComplex(cos_pi(f), sin_pi(f))
-    c, s = cos_pi(f - Fraction(1, 4)), sin_pi(f - Fraction(1, 4))
-    return SurdComplex(c - s, c + s)
+    u = _unit(f)
+    if u is not None:
+        return u
+    u = _unit(f - Fraction(1, 4))
+    return SurdComplex(u.re - u.im, u.re + u.im)
 
 
 @dataclass(frozen=True)
@@ -474,11 +454,8 @@ class PolarScalar:
     def to_exact(self) -> SurdComplex | None:
         """Rectangular form over Q(sqrt 3), or None when the angle needs a
         radical outside the field (for example multiples of pi/4)."""
-        c = cos_pi(self.angle)
-        if c is None:
-            return None
-        s = sin_pi(self.angle)
-        return SurdComplex(self.modulus * c, self.modulus * s)
+        u = _unit(self.angle)
+        return None if u is None else SurdComplex._new(u.re * self.modulus, u.im * self.modulus)
 
     def __str__(self):
         return f"{self.modulus}@{self.angle}"

@@ -18,7 +18,6 @@ from . import induced, lattice, stability, transform
 from .lattice import AbelianContext, CohClass
 from .surd import PolarScalar, Q3, SurdComplex
 
-SUITES = ("lattice", "transform", "law", "bg", "all")
 _SEED = 271828
 
 
@@ -709,6 +708,7 @@ _SUITE_CHECKS = {
         _check_rotation_note,
     ),
 }
+SUITES = (*_SUITE_CHECKS, "all")
 
 
 def run_verify(suite: str) -> tuple[list[CheckResult], bool]:
@@ -716,10 +716,9 @@ def run_verify(suite: str) -> tuple[list[CheckResult], bool]:
     NOTE results never affect success."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, want one of {SUITES}")
-    names = [s for s in ("lattice", "transform", "law", "bg") if suite in ("all", s)]
     results: list[CheckResult] = []
-    for name in names:
-        for check in _SUITE_CHECKS[name]:
-            results.append(check())
+    for name, checks in _SUITE_CHECKS.items():
+        if suite in ("all", name):
+            results.extend(check() for check in checks)
     ok = all(r.status != "FAIL" for r in results)
     return results, ok

@@ -59,6 +59,11 @@ def test_request_validation():
         ScanRequest(ctx, 3, o, (o,), (F(-2), F(2)), (F(1), F(2)), (9, 9))
     with pytest.raises(ValueError):
         ScanRequest(ctx, 2, o, tuple(), (F(-2), F(2)), (F(1), F(2)), (9, 9))
+    # the level rule is ChargeSpec's: bools and non-int numbers are refused
+    # at construction, not accepted as level 1 or failing inside the scan
+    for k in (True, 1.5, F(2)):
+        with pytest.raises(ValueError, match="level k must be an integer"):
+            ScanRequest(ctx, k, o, (o,), (F(-2), F(2)), (F(1), F(2)), (9, 9))
 
 
 def test_skyscraper_wall_is_b_zero_line():

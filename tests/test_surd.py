@@ -12,11 +12,10 @@ from abelfm.surd import (
     PolarScalar,
     Q3,
     SurdComplex,
+    _unit,
     as_fraction,
-    cos_pi,
     direction_pi,
     normalize_angle,
-    sin_pi,
 )
 
 H = Fraction(1, 2)
@@ -249,13 +248,23 @@ def test_normalize_angle_window():
     ],
 )
 def test_trig_table(f, c, s):
-    assert cos_pi(f) == c
-    assert sin_pi(f) == s
+    z = PolarScalar(Fraction(1), f).to_exact()
+    assert z.re == c
+    assert z.im == s
 
 
 def test_trig_table_rejects_outside_field():
-    assert cos_pi(Fraction(1, 4)) is None  # needs sqrt2
-    assert sin_pi(Fraction(1, 5)) is None
+    assert PolarScalar(Fraction(1), Fraction(1, 4)).to_exact() is None  # needs sqrt2
+    assert PolarScalar(Fraction(1), Fraction(1, 5)).to_exact() is None
+
+
+@pytest.mark.parametrize("j", range(-24, 25))
+def test_generated_units_are_exact_unit_vectors(j):
+    u = _unit(Fraction(j, 6))
+    assert abs(float(u.re) - math.cos(j * math.pi / 6)) < 1e-12
+    assert abs(float(u.im) - math.sin(j * math.pi / 6)) < 1e-12
+    for i in range(-24, 25):
+        assert u * _unit(Fraction(i, 6)) == _unit(Fraction(j + i, 6))
 
 
 @pytest.mark.parametrize(
@@ -288,7 +297,7 @@ def test_direction_pi_points_along_the_unit_vector(j):
     f = Fraction(j, 12)
     d = direction_pi(f)
     if (6 * f).denominator == 1:
-        assert d == SurdComplex(cos_pi(f), sin_pi(f))
+        assert d == PolarScalar(Fraction(1), f).to_exact()
     # d * d is a positive multiple of the direction at 2f: exact cross
     # product zero and positive dot product
     d2, e = d * d, direction_pi(2 * f)
