@@ -6,142 +6,105 @@ polar scalars with rational angle in units of pi.  Floats appear only in
 display values (the phase, SVG coordinates) and in phase_cmp when the
 phase lies strictly between the two multiples of 1/12 around a bound
 whose denominator does not divide 12.
+
+``import abelfm`` loads no submodule: each public name, and each
+submodule, is imported on first use.
 """
 
-from .lattice import (
-    AbelianContext,
-    CohClass,
-    ContextMismatchError,
-    VVector,
-    chi_advisory,
-    divided_power_basis,
-    exp_div,
-    from_v_vector,
-    integrate,
-    line_bundle,
-    mukai_dual,
-    mukai_pairing,
-    mul,
-    semihomogeneous,
-    skyscraper,
-    structure_sheaf,
-    twist,
-    v_vector,
-)
-from .surd import PolarScalar, Q3, SurdComplex
-from .transform import (
-    FMTransformSpec,
-    GammaAction,
-    InvalidSpecError,
-    ShiftedClass,
-    adjoint_pairing_check,
-    antidiag_matrix,
-    apply,
-    exp_image,
-    gamma_action,
-    polarization_image_check,
-    quasi_inverse,
-)
-from .stability import (
-    BGVerdict,
-    ChargeSpec,
-    HeartValueError,
-    HNPolygon,
-    bg_check,
-    charge,
-    heart_tower,
-    hn_polygon,
-    in_slice,
-    phase,
-    phase_cmp,
-    slope,
-    slope_cmp,
-)
-from .induced import (
-    ComplexAmpleClass,
-    InducedChargeLaw,
-    LawVerdict,
-    PhaseShiftVerdict,
-    conjecture_params,
-    induced_law,
-    phase_shift_check,
-    real_zeta_angles,
-    verify_induced_law,
-    zeta,
-)
-from .scan import (
-    RecheckFailure,
-    ScanRequest,
-    WallCell,
-    WallDataset,
-    first_bad_cell,
-    recheck_walls,
-    scan_walls,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianContext",
-    "BGVerdict",
-    "ChargeSpec",
-    "CohClass",
-    "ComplexAmpleClass",
-    "ContextMismatchError",
-    "FMTransformSpec",
-    "GammaAction",
-    "HNPolygon",
-    "HeartValueError",
-    "InducedChargeLaw",
-    "InvalidSpecError",
-    "LawVerdict",
-    "PhaseShiftVerdict",
-    "PolarScalar",
-    "Q3",
-    "RecheckFailure",
-    "ScanRequest",
-    "ShiftedClass",
-    "SurdComplex",
-    "VVector",
-    "WallCell",
-    "WallDataset",
-    "adjoint_pairing_check",
-    "antidiag_matrix",
-    "apply",
-    "bg_check",
-    "charge",
-    "chi_advisory",
-    "conjecture_params",
-    "divided_power_basis",
-    "exp_div",
-    "exp_image",
-    "first_bad_cell",
-    "from_v_vector",
-    "gamma_action",
-    "heart_tower",
-    "hn_polygon",
-    "in_slice",
-    "induced_law",
-    "integrate",
-    "line_bundle",
-    "mukai_dual",
-    "mukai_pairing",
-    "mul",
-    "phase",
-    "phase_cmp",
-    "phase_shift_check",
-    "polarization_image_check",
-    "quasi_inverse",
-    "real_zeta_angles",
-    "recheck_walls",
-    "scan_walls",
-    "semihomogeneous",
-    "skyscraper",
-    "slope",
-    "slope_cmp",
-    "structure_sheaf",
-    "twist",
-    "v_vector",
-    "verify_induced_law",
-    "zeta",
-]
+# each public name, under the module that defines it
+_PUBLIC = {
+    "lattice": (
+        "AbelianContext",
+        "CohClass",
+        "ContextMismatchError",
+        "VVector",
+        "chi_advisory",
+        "divided_power_basis",
+        "exp_div",
+        "from_v_vector",
+        "integrate",
+        "line_bundle",
+        "mukai_dual",
+        "mukai_pairing",
+        "mul",
+        "semihomogeneous",
+        "skyscraper",
+        "structure_sheaf",
+        "twist",
+        "v_vector",
+    ),
+    "surd": ("PolarScalar", "Q3", "SurdComplex"),
+    "transform": (
+        "FMTransformSpec",
+        "GammaAction",
+        "InvalidSpecError",
+        "ShiftedClass",
+        "adjoint_pairing_check",
+        "antidiag_matrix",
+        "apply",
+        "exp_image",
+        "gamma_action",
+        "polarization_image_check",
+        "quasi_inverse",
+    ),
+    "stability": (
+        "BGVerdict",
+        "ChargeSpec",
+        "HeartValueError",
+        "HNPolygon",
+        "bg_check",
+        "charge",
+        "heart_tower",
+        "hn_polygon",
+        "in_slice",
+        "phase",
+        "phase_cmp",
+        "slope",
+        "slope_cmp",
+    ),
+    "induced": (
+        "ComplexAmpleClass",
+        "InducedChargeLaw",
+        "LawVerdict",
+        "PhaseShiftVerdict",
+        "conjecture_params",
+        "induced_law",
+        "phase_shift_check",
+        "real_zeta_angles",
+        "verify_induced_law",
+        "zeta",
+    ),
+    "scan": (
+        "RecheckFailure",
+        "ScanRequest",
+        "WallCell",
+        "WallDataset",
+        "first_bad_cell",
+        "recheck_walls",
+        "scan_walls",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+# the submodules that the package's own imports loaded when they were eager
+_SUBMODULES = (*_PUBLIC, "literals")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -21,12 +21,18 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-from . import config, induced, scan, stability, transform, verify
+from . import config
 from .lattice import chi_advisory, divided_power_basis, skyscraper
 from .literals import format_class, format_rational, parse_polar, parse_rational
 from .surd import PolarScalar
 
 __all__ = ["build_parser", "main"]
+
+# the choices of --format and --suite, which a test holds equal to
+# scan.FORMATS and verify.SUITES; written here so that building the parser
+# imports neither module
+_FORMATS = ("csv", "json", "svg")
+_SUITES = ("lattice", "transform", "law", "bg", "all")
 
 
 def _out_path(out: str) -> Path:
@@ -39,6 +45,7 @@ def _out_path(out: str) -> Path:
 
 
 def _cmd_transform(args) -> int:
+    from . import transform
     cfg = config.load_config(args.config)
     spec = config.transform_from(cfg)
     e = config.class_from(spec.src, args.cls)
@@ -58,6 +65,7 @@ def _warn_chi(ctx) -> None:
 
 
 def _cmd_charge(args) -> int:
+    from . import stability
     cfg = config.load_config(args.config)
     ctx = config.context_from(cfg)
     spec = config.charge_from(cfg, ctx, args.k)
@@ -79,6 +87,7 @@ def _cmd_charge(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from . import induced
     cfg = config.load_config(args.config)
     spec = config.transform_from(cfg)
     modulus, angle = parse_polar(args.u)
@@ -99,6 +108,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from . import induced
     cfg = config.load_config(args.config)
     spec = config.transform_from(cfg)
     lam = parse_rational(args.lam)
@@ -120,7 +130,8 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _describe(bad: scan.RecheckFailure) -> str:
+def _describe(bad) -> str:
+    """The stderr text for a scan.RecheckFailure."""
     cell = bad.cell
     where = f"wall {cell.w_index}, b = {format_rational(cell.b)}, t = {format_rational(cell.t)}"
     if bad.corners is None:
@@ -133,6 +144,7 @@ def _describe(bad: scan.RecheckFailure) -> str:
 
 
 def _cmd_walls(args) -> int:
+    from . import scan
     cfg = config.load_config(args.config)
     ctx = config.context_from(cfg)
     req = config.scan_from(cfg, ctx)
@@ -159,6 +171,7 @@ def _cmd_walls(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     results, ok = verify.run_verify(args.suite)
     for res in results:
         print(res.line())
@@ -246,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walls", help="scan wall loci on the (b, t) grid and emit a file")
     add_config(p)
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=scan.FORMATS, default="csv")
+    p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument(
         "--recheck",
         action="store_true",
@@ -255,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_walls)
 
     p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("--suite", choices=verify.SUITES, default="all")
+    p.add_argument("--suite", choices=_SUITES, default="all")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .lattice import AbelianContext, CohClass
 from .literals import parse_class_coeffs, parse_rational, parse_surd
-from .scan import ScanRequest
 from .stability import ChargeSpec
 from .transform import FMTransformSpec
+
+if TYPE_CHECKING:
+    from .scan import ScanRequest
 
 
 # Requests past these caps are refused before anything is allocated for them.
@@ -86,6 +89,13 @@ def _int(block: dict, key: str, where: str) -> int:
     return val
 
 
+def _str(block: dict, key: str, where: str, default: str) -> str:
+    val = block.get(key, default)
+    if not isinstance(val, str):
+        raise ConfigError(f"{where}.{key}: want a string, got {val!r}")
+    return val
+
+
 def _dim(g: int, where: str) -> int:
     if g > MAX_G:
         raise ConfigError(f"{where}.g: {g} exceeds the limit of {MAX_G}")
@@ -94,8 +104,8 @@ def _dim(g: int, where: str) -> int:
 
 def context_from(cfg: dict) -> AbelianContext:
     block = _block(cfg, "context")
-    label = block.get("label", "")
     try:
+        label = _str(block, "label", "context", "")
         ctx = AbelianContext(_int(block, "g", "context"), _rat(block, "n", "context"), label)
     except ValueError as exc:
         raise ConfigError(f"context: {exc}") from None
@@ -107,8 +117,12 @@ def transform_from(cfg: dict) -> FMTransformSpec:
     block = _block(cfg, "transform")
     g = _dim(_int(block, "g", "transform"), "transform")
     try:
-        src = AbelianContext(g, _rat(block, "nX", "transform"), block.get("labelX", "X"))
-        dst = AbelianContext(g, _rat(block, "nY", "transform"), block.get("labelY", "Y"))
+        src = AbelianContext(
+            g, _rat(block, "nX", "transform"), _str(block, "labelX", "transform", "X")
+        )
+        dst = AbelianContext(
+            g, _rat(block, "nY", "transform"), _str(block, "labelY", "transform", "Y")
+        )
         return FMTransformSpec(
             src=src,
             dst=dst,
@@ -144,6 +158,7 @@ def class_from(ctx: AbelianContext, text: str) -> CohClass:
 
 
 def scan_from(cfg: dict, ctx: AbelianContext) -> ScanRequest:
+    from .scan import ScanRequest
     block = _block(cfg, "scan")
     walls_raw = _need(block, "walls", "scan")
     if not isinstance(walls_raw, list):

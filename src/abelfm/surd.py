@@ -430,7 +430,7 @@ class PolarScalar:
         object.__setattr__(self, "angle", normalize_angle(as_fraction(self.angle)))
 
     def power(self, k: int) -> "PolarScalar":
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             raise TypeError("power expects an integer exponent")
         if k >= 0:
             return PolarScalar(self.modulus**k, self.angle * k)

@@ -307,6 +307,10 @@ CHARGE_CFG = {
         pytest.param("huge-class", None, "9" * 5000 + ",0,0", id="huge-class"),
         pytest.param(("charge", "b"), "9" * 5000, "1,0,0", id="huge-string"),
         pytest.param("huge-json-int", None, "1,0,0", id="huge-json-int"),
+        # a label is a JSON string or absent
+        pytest.param(("context", "label"), 1.5, "1,0,0", id="label-float"),
+        pytest.param(("context", "label"), [1], "1,0,0", id="label-list"),
+        pytest.param(("context", "label"), True, "1,0,0", id="label-bool"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, leaf, value, cls):
@@ -341,6 +345,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, 
         assert err.startswith("error: class: ")
     if value == "9" * 5000:
         assert err.startswith("error: charge: charge.b: ")
+    if leaf == ("context", "label"):
+        assert err == f"error: context: context.label: want a string, got {value!r}\n"
     if (leaf, value) == (("context", "n"), "1"):  # chi = 1/2: the error, not the advisory
         assert err.startswith("error: class: ")
 

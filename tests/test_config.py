@@ -78,6 +78,8 @@ def test_context_from_errors():
         context_from({"context": {"g": 2, "n": 2.0}})
     with pytest.raises(ConfigError, match="context.n"):
         context_from({"context": {"g": 2, "n": "2/0"}})
+    with pytest.raises(ConfigError, match=r"^context: context\.label: want a string, got 1\.5$"):
+        context_from({"context": {"g": 2, "n": "2", "label": 1.5}})
     # domain validation is reported under the block name
     with pytest.raises(ConfigError, match="context:"):
         context_from({"context": {"g": 0, "n": "2"}})
@@ -100,6 +102,13 @@ def test_transform_from():
     assert spec.src == AbelianContext(2, F(2), "A")
     assert spec.dst == AbelianContext(2, F(2), "B")
     assert (spec.r, spec.d_x, spec.d_y) == (1, F(1, 3), F(-1, 2))
+
+
+@pytest.mark.parametrize("key", ["labelX", "labelY"])
+@pytest.mark.parametrize("value", [1, None, ["X"]])
+def test_transform_from_rejects_a_non_string_label(key, value):
+    with pytest.raises(ConfigError, match=rf"^transform: transform\.{key}: want a string, got "):
+        transform_from({"transform": dict(TRANSFORM, **{key: value})})
 
 
 def test_transform_from_rejects_bad_reciprocity():

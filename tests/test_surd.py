@@ -318,6 +318,9 @@ def test_polar_scalar_power_and_inverse():
     assert u.inverse().angle == Fraction(-1, 3)
     assert not u.is_real and u.real_sign is None
     assert u.power(3).real_sign == -1
+    for bad in (True, False, 1.0):
+        with pytest.raises(TypeError, match="integer exponent"):
+            u.power(bad)
 
 
 def test_polar_scalar_to_exact():
