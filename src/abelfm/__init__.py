@@ -5,7 +5,9 @@ Everything numeric is exact: rationals, the quadratic field Q(sqrt 3) and
 polar scalars with rational angle in units of pi.  Floats appear only in
 display values (the phase, SVG coordinates) and in phase_cmp when the
 phase lies strictly between the two multiples of 1/12 around a bound
-whose denominator does not divide 12.
+whose denominator does not divide 12.  Display floats are taken from exact
+values brought into float range, so any exact input has one; no public
+function accepts a float.
 
 ``import abelfm`` loads no submodule: each public name, and each
 submodule, is imported on first use.
@@ -21,6 +23,7 @@ _PUBLIC = {
         "AbelianContext",
         "CohClass",
         "ContextMismatchError",
+        "ShiftedClass",
         "VVector",
         "chi_advisory",
         "divided_power_basis",
@@ -42,7 +45,6 @@ _PUBLIC = {
         "FMTransformSpec",
         "GammaAction",
         "InvalidSpecError",
-        "ShiftedClass",
         "adjoint_pairing_check",
         "antidiag_matrix",
         "apply",

@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING
 
 from .lattice import AbelianContext, CohClass
 from .literals import parse_class_coeffs, parse_rational, parse_surd
-from .stability import ChargeSpec
-from .transform import FMTransformSpec
 
 if TYPE_CHECKING:
     from .scan import ScanRequest
+    from .stability import ChargeSpec
+    from .transform import FMTransformSpec
 
 
 # Requests past these caps are refused before anything is allocated for them.
@@ -114,6 +114,7 @@ def context_from(cfg: dict) -> AbelianContext:
 
 
 def transform_from(cfg: dict) -> FMTransformSpec:
+    from .transform import FMTransformSpec
     block = _block(cfg, "transform")
     g = _dim(_int(block, "g", "transform"), "transform")
     try:
@@ -135,6 +136,7 @@ def transform_from(cfg: dict) -> FMTransformSpec:
 
 
 def charge_from(cfg: dict, ctx: AbelianContext, k_override: int | None = None) -> ChargeSpec:
+    from .stability import ChargeSpec
     block = _block(cfg, "charge")
     k = k_override if k_override is not None else _int(block, "k", "charge")
     try:

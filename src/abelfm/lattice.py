@@ -9,7 +9,8 @@ coefficient times n, and the remaining operations implement the usual
 numerical calculus of Chern characters inside this lattice: divided-power
 exponentials, B-field twists, the degree-alternating dual, the pairing
 <a, b> = -integral(dual(a) * b), and the factorial-rescaled coordinates
-used by the transform module.
+used by the transform module.  A ShiftedClass carries a class with an
+explicit homological shift, which flattens to the sign (-1)^shift.
 
 A class stores integer numerators C_0..C_g over one denominator D, with
 D > 0 and gcd(C_0, ..., C_g, D) = 1.  That form is unique, so equality
@@ -199,6 +200,27 @@ _object_new = object.__new__
 _set_ctx = CohClass.__dict__["ctx"].__set__
 _set_nums = CohClass.__dict__["_nums"].__set__
 _set_den = CohClass.__dict__["_den"].__set__
+
+
+@dataclass(frozen=True)
+class ShiftedClass:
+    """A lattice class together with an explicit homological shift.
+
+    The shift is bookkeeping for phases; flatten() folds it into the class
+    as the cohomological sign (-1)^shift, since ch(E[n]) = (-1)^n ch(E)."""
+
+    cls: CohClass
+    shift: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.shift, int) or isinstance(self.shift, bool):
+            raise ValueError(f"shift must be an integer, got {self.shift!r}")
+
+    def flatten(self) -> CohClass:
+        return self.cls.scale((-1) ** self.shift)
+
+    def shifted(self, k: int) -> "ShiftedClass":
+        return ShiftedClass(self.cls, self.shift + k)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .lattice import AbelianContext, CohClass
+from .lattice import AbelianContext, CohClass, _require_match
 from .literals import format_rational_frac
 from .stability import ChargeSpec, _charge_ints, _check_level, charge
 from .surd import as_fraction
@@ -73,12 +73,10 @@ class ScanRequest:
         nb, nt = self.resolution
         if not (isinstance(nb, int) and isinstance(nt, int)) or nb < 2 or nt < 2:
             raise ValueError(f"resolution must be >= 2 points per axis, got {self.resolution}")
-        if not self.v.ctx.matches(self.ctx):
-            raise ValueError("probe class context does not match")
+        _require_match(self.v.ctx, self.ctx, "probe class")
         walls = tuple(self.walls)
         for i, w in enumerate(walls):
-            if not w.ctx.matches(self.ctx):
-                raise ValueError(f"wall class {i} context does not match")
+            _require_match(w.ctx, self.ctx, f"wall class {i}")
         if not walls:
             raise ValueError("need at least one wall class")
         object.__setattr__(self, "walls", walls)
@@ -293,16 +291,17 @@ def _f(x: float) -> str:
 def emit_svg(ds: WallDataset) -> str:
     req = ds.request
     nb, nt = req.resolution
-    b0, b1 = (float(x) for x in req.b_range)
-    t0, t1 = (float(x) for x in req.t_range)
-    cw = (b1 - b0) / (nb - 1)
-    ch = (t1 - t0) / (nt - 1)
+    b0, b1 = req.b_range
+    t0, t1 = req.t_range
+    plot_w, plot_h = _W - _ML - _MR, _H - _MT - _MB
+    # every cell spans one grid step; only exact relative positions meet floats
+    cell_w, cell_h = plot_w / (nb - 1), plot_h / (nt - 1)
 
-    def px(b: float) -> float:
-        return _ML + (b - b0) / (b1 - b0) * (_W - _ML - _MR)
+    def px(b: Fraction) -> float:
+        return _ML + float((b - b0) / (b1 - b0)) * plot_w
 
-    def py(t: float) -> float:
-        return _H - _MB - (t - t0) / (t1 - t0) * (_H - _MT - _MB)
+    def py(t: Fraction) -> float:
+        return _H - _MB - float((t - t0) / (t1 - t0)) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
@@ -312,7 +311,7 @@ def emit_svg(ds: WallDataset) -> str:
         f'height="{_f(_H - _MT - _MB)}" fill="none" stroke="#444444" stroke-width="1"/>',
     ]
     if b0 < 0 < b1:
-        x0 = px(0.0)
+        x0 = px(Fraction(0))
         out.append(
             f'<line x1="{_f(x0)}" y1="{_f(_MT)}" x2="{_f(x0)}" y2="{_f(_H - _MB)}" '
             'stroke="#bbbbbb" stroke-width="0.5"/>'
@@ -342,12 +341,9 @@ def emit_svg(ds: WallDataset) -> str:
         color = _PALETTE[wi % len(_PALETTE)]
         out.append(f'<g data-wall="{wi}" fill="{color}" fill-opacity="0.75">')
         for cell in cells:
-            x = px(float(cell.b))
-            y = py(float(cell.t) + ch)
             out.append(
-                f'<rect x="{_f(x)}" y="{_f(y)}" '
-                f'width="{_f(px(float(cell.b) + cw) - x)}" '
-                f'height="{_f(py(float(cell.t)) - y)}"/>'
+                f'<rect x="{_f(px(cell.b))}" y="{_f(py(cell.t) - cell_h)}" '
+                f'width="{_f(cell_w)}" height="{_f(cell_h)}"/>'
             )
         out.append("</g>")
         out.append(

@@ -25,6 +25,8 @@ slope +infinity (returned as None); _slope_of computes them for slope and
 hn_polygon alike, and slope_cmp orders them.
 Phases are arg(Z)/pi in (0, 1] plus any explicit homological shift carried
 by the class.  phase() is a display value, accurate to about 1e-12.
+_display_phase scales both exact parts of the charge into float range
+before its one atan2, so charges of any size have one.
 phase_cmp decides a comparison against a rational bound with one exact
 sign test in Q(sqrt 3) against each multiple of 1/12 it needs: the bound
 itself when 12 times it is an integer, else the two twelfths around it.
@@ -40,9 +42,8 @@ from functools import cmp_to_key
 from math import atan2, factorial, floor, lcm, pi
 from typing import Sequence
 
-from .lattice import AbelianContext, CohClass, twist
+from .lattice import AbelianContext, CohClass, ShiftedClass, _require_match, twist
 from .surd import Q3, SurdComplex, as_fraction, as_q3, direction_pi
-from .transform import ShiftedClass
 
 
 class HeartValueError(ValueError):
@@ -91,8 +92,7 @@ def _charge_ints(ctx: AbelianContext, e: CohClass, k: int) -> tuple[list[int], i
     integer numerators N_m over one denominator den = n_den * c_den * g!.
     With C_i / c_den the stored coefficients of e,
     N_m = (-1)^m * n_num * C_(g-m) * g!/m!."""
-    if not e.ctx.matches(ctx):
-        raise ValueError("charge: class context does not match")
+    _require_match(e.ctx, ctx, "charge")
     g, n = ctx.g, ctx.n
     cs, c_den = e._nums, e._den
     nums = [0] * (g + 1)
@@ -186,8 +186,20 @@ def phase(spec: ChargeSpec, e) -> float | None:
     if z.is_zero:
         return None
     _check_heart_value(z)
-    base = atan2(float(z.im), float(z.re)) / pi  # in (0, 1] for heart values
-    return base + shift
+    return _display_phase(z) + shift  # base phase in (0, 1] for heart values
+
+
+def _display_phase(z: SurdComplex) -> float:
+    """arg(z)/pi for z != 0 as a float.  Both exact parts are first scaled
+    by one power of two, read off their integer bit lengths, into float
+    range; atan2 does not change under a common positive scale."""
+    e = max(
+        max(a.bit_length(), b.bit_length()) - d.bit_length()
+        for a, b, d in (z.re._abd, z.im._abd)
+        if a or b
+    )
+    s = Fraction(1, 1 << e) if e >= 0 else 1 << -e
+    return atan2(float(z.im * s), float(z.re * s)) / pi
 
 
 def phase_cmp(spec: ChargeSpec, e, bound: Fraction) -> int:
@@ -215,8 +227,7 @@ def phase_cmp(spec: ChargeSpec, e, bound: Fraction) -> int:
     if _side(z, lo + Fraction(1, 12)) >= 0:
         return 1
     # documented float fallback inside a twelfth-gap around the bound
-    base = atan2(float(z.im), float(z.re)) / pi
-    diff = base - float(y)
+    diff = _display_phase(z) - float(y)
     return 0 if diff == 0 else (1 if diff > 0 else -1)
 
 
@@ -330,8 +341,7 @@ def bg_check(ctx: AbelianContext, b, t, e: CohClass) -> BGVerdict:
     twisted degree-one coefficient is nonnegative."""
     if ctx.g != 3:
         raise ValueError(f"bg_check needs g = 3, got g = {ctx.g}")
-    if not e.ctx.matches(ctx):
-        raise ValueError("bg_check: class context does not match")
+    _require_match(e.ctx, ctx, "bg_check")
     spec = ChargeSpec(ctx, 2, b, t)  # validates b and t
     b, t = spec.b, spec.t
     tw = twist(e, b)

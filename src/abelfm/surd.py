@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isinf, isnan, lcm, sqrt
+from math import gcd, lcm, sqrt
 
 _SQRT3 = sqrt(3.0)
 
@@ -192,12 +192,6 @@ class Q3:
         return hash(self.r) if self.is_rational else hash((self.r, self.s))
 
     def _cmp(self, other) -> int | None:
-        if isinstance(other, float):
-            if isinf(other):
-                return -1 if other > 0 else 1
-            if isnan(other):
-                return None
-            other = Fraction(other)  # floats are exact binary rationals
         if _parts(other) is None:
             return None
         return (self - other).sign()

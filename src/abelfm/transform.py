@@ -31,9 +31,10 @@ from typing import NamedTuple
 from .lattice import (
     AbelianContext,
     CohClass,
-    ContextMismatchError,
+    ShiftedClass,  # noqa: F401  (kept importable from here)
     _conv,
     _exp_ints,
+    _require_match,
     exp_div,
     mukai_pairing,
     twist,
@@ -78,27 +79,6 @@ class FMTransformSpec:
         return self.src.g
 
 
-@dataclass(frozen=True)
-class ShiftedClass:
-    """A lattice class together with an explicit homological shift.
-
-    The shift is bookkeeping for phases; flatten() folds it into the class
-    as the cohomological sign (-1)^shift."""
-
-    cls: CohClass
-    shift: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.shift, int) or isinstance(self.shift, bool):
-            raise ValueError(f"shift must be an integer, got {self.shift!r}")
-
-    def flatten(self) -> CohClass:
-        return self.cls.scale((-1) ** self.shift)
-
-    def shifted(self, k: int) -> "ShiftedClass":
-        return ShiftedClass(self.cls, self.shift + k)
-
-
 class QuasiInverse(NamedTuple):
     spec: FMTransformSpec
     shift: int
@@ -125,11 +105,7 @@ def apply(spec: FMTransformSpec, e: CohClass) -> CohClass:
     by e^{d_x l}, apply the scaled reversal R, multiply by e^{d_y l}.  With
     n_Y = a/b, R takes numerators t over a denominator D to numerators
     (-1)^i (g!/i!) (g-i)! b t_{g-i} over r a D."""
-    if not e.ctx.matches(spec.src):
-        raise ContextMismatchError(
-            f"apply: class lives on (g={e.ctx.g}, n={e.ctx.n}), "
-            f"spec source is (g={spec.src.g}, n={spec.src.n})"
-        )
+    _require_match(e.ctx, spec.src, "apply")
     g = spec.g
     nx, dx = _exp_ints(spec.d_x, g)
     t = _conv(nx, e._nums)

@@ -5,6 +5,9 @@ line per check: PASS, FAIL with a counterexample, or NOTE for measured
 conventions that are reported rather than asserted (the symmetry sign of
 the pairing, and the quarter-turn factor of low-level charges, both of
 which are easy to get wrong silently when conventions drift).
+
+A check is a function _check_<name> returning (status, detail), listed
+under its suite in _SUITE_CHECKS; run_verify reports it as <suite>.<name>.
 """
 
 from __future__ import annotations
@@ -60,35 +63,27 @@ def _rand_spec(rng: random.Random, g: int) -> transform.FMTransformSpec:
     )
 
 
-def _ok(name: str, detail: str = "") -> CheckResult:
-    return CheckResult(name, "PASS", detail)
-
-
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, "FAIL", detail)
-
-
 # ---------------------------------------------------------------- lattice --
 
 
-def _check_ring_laws() -> CheckResult:
+def _check_ring_laws() -> tuple[str, str]:
     rng = _rng("ring")
     for g in range(1, 6):
         ctx = AbelianContext(g, _rand_pos(rng))
         for _ in range(8):
             a, b, c = (_rand_class(rng, ctx) for _ in range(3))
             if lattice.mul(lattice.mul(a, b), c) != lattice.mul(a, lattice.mul(b, c)):
-                return _fail("lattice.ring_laws", f"associativity broke at g={g}")
+                return "FAIL", f"associativity broke at g={g}"
             if lattice.mul(a, b) != lattice.mul(b, a):
-                return _fail("lattice.ring_laws", f"commutativity broke at g={g}")
+                return "FAIL", f"commutativity broke at g={g}"
             if lattice.mul(a, b + c) != lattice.mul(a, b) + lattice.mul(a, c):
-                return _fail("lattice.ring_laws", f"distributivity broke at g={g}")
+                return "FAIL", f"distributivity broke at g={g}"
             if lattice.mul(a, lattice.structure_sheaf(ctx)) != a:
-                return _fail("lattice.ring_laws", f"unit broke at g={g}")
-    return _ok("lattice.ring_laws", "assoc, comm, distrib, unit on random classes g<=5")
+                return "FAIL", f"unit broke at g={g}"
+    return "PASS", "assoc, comm, distrib, unit on random classes g<=5"
 
 
-def _check_twist_action() -> CheckResult:
+def _check_twist_action() -> tuple[str, str]:
     rng = _rng("twist")
     for g in range(1, 6):
         ctx = AbelianContext(g, _rand_pos(rng))
@@ -96,13 +91,13 @@ def _check_twist_action() -> CheckResult:
             a = _rand_class(rng, ctx)
             b1, b2 = _rand_rat(rng), _rand_rat(rng)
             if lattice.twist(lattice.twist(a, b1), b2) != lattice.twist(a, b1 + b2):
-                return _fail("lattice.twist_action", f"composition broke at g={g}")
+                return "FAIL", f"composition broke at g={g}"
             if lattice.twist(a, 0) != a:
-                return _fail("lattice.twist_action", f"identity broke at g={g}")
-    return _ok("lattice.twist_action", "twists compose additively and fix b=0")
+                return "FAIL", f"identity broke at g={g}"
+    return "PASS", "twists compose additively and fix b=0"
 
 
-def _check_pairing_bilinear() -> CheckResult:
+def _check_pairing_bilinear() -> tuple[str, str]:
     rng = _rng("pairing")
     for g in range(1, 5):
         ctx = AbelianContext(g, _rand_pos(rng))
@@ -112,15 +107,15 @@ def _check_pairing_bilinear() -> CheckResult:
             lhs = lattice.mukai_pairing(a + b.scale(q), c)
             rhs = lattice.mukai_pairing(a, c) + q * lattice.mukai_pairing(b, c)
             if lhs != rhs:
-                return _fail("lattice.pairing_bilinear", f"first slot broke at g={g}")
+                return "FAIL", f"first slot broke at g={g}"
             lhs = lattice.mukai_pairing(c, a + b.scale(q))
             rhs = lattice.mukai_pairing(c, a) + q * lattice.mukai_pairing(c, b)
             if lhs != rhs:
-                return _fail("lattice.pairing_bilinear", f"second slot broke at g={g}")
-    return _ok("lattice.pairing_bilinear", "bilinear in both slots")
+                return "FAIL", f"second slot broke at g={g}"
+    return "PASS", "bilinear in both slots"
 
 
-def _check_pairing_symmetry_note() -> CheckResult:
+def _check_pairing_symmetry() -> tuple[str, str]:
     rng = _rng("sym")
     seen = []
     for g in range(1, 5):
@@ -132,15 +127,14 @@ def _check_pairing_symmetry_note() -> CheckResult:
             )
         )
         seen.append(f"g={g}:{'(-1)^g' if flips else 'UNEXPECTED'}")
-    return CheckResult(
-        "lattice.pairing_symmetry",
+    return (
         "NOTE",
         "measured swap sign on this even lattice is (-1)^g "
         f"[{', '.join(seen)}]; symmetric for even g, antisymmetric for odd g",
     )
 
 
-def _check_chi_advisory() -> CheckResult:
+def _check_chi_advisory() -> tuple[str, str]:
     # integral chi stays silent, fractional chi warns, nothing ever raises
     cases = [
         (AbelianContext(2, Fraction(2)), True),
@@ -152,13 +146,13 @@ def _check_chi_advisory() -> CheckResult:
     for ctx, silent in cases:
         note = lattice.chi_advisory(ctx)
         if silent and note is not None:
-            return _fail("lattice.chi_advisory", f"false alarm for chi={ctx.chi}")
+            return "FAIL", f"false alarm for chi={ctx.chi}"
         if not silent and (note is None or str(ctx.chi) not in note):
-            return _fail("lattice.chi_advisory", f"missed fractional chi={ctx.chi}")
-    return _ok("lattice.chi_advisory", "flags fractional n/g!, silent on integers")
+            return "FAIL", f"missed fractional chi={ctx.chi}"
+    return "PASS", "flags fractional n/g!, silent on integers"
 
 
-def _check_vvector_roundtrip() -> CheckResult:
+def _check_vvector_roundtrip() -> tuple[str, str]:
     rng = _rng("vvec")
     for g in range(1, 6):
         ctx = AbelianContext(g, _rand_pos(rng))
@@ -167,33 +161,33 @@ def _check_vvector_roundtrip() -> CheckResult:
             b = _rand_rat(rng)
             vv = lattice.v_vector(a, b)
             if lattice.from_v_vector(vv) != a:
-                return _fail("lattice.vvector_roundtrip", f"broke at g={g}, b={b}")
+                return "FAIL", f"broke at g={g}, b={b}"
             if any(
                 vv.v[i] != factorial(i) * ctx.n * lattice.twist(a, b).c[i]
                 for i in range(g + 1)
             ):
-                return _fail("lattice.vvector_roundtrip", f"scaling broke at g={g}")
-    return _ok("lattice.vvector_roundtrip", "v_vector and from_v_vector invert exactly")
+                return "FAIL", f"scaling broke at g={g}"
+    return "PASS", "v_vector and from_v_vector invert exactly"
 
 
-def _check_point_class() -> CheckResult:
+def _check_point_class() -> tuple[str, str]:
     rng = _rng("point")
     for g in range(1, 6):
         ctx = AbelianContext(g, _rand_pos(rng))
         p = lattice.skyscraper(ctx)
         if lattice.integrate(p) != 1:
-            return _fail("lattice.point_class", f"integral != 1 at g={g}")
+            return "FAIL", f"integral != 1 at g={g}"
         for _ in range(4):
             b = _rand_rat(rng)
             if lattice.integrate(lattice.twist(p, b)) != 1:
-                return _fail("lattice.point_class", f"twist changed integral at g={g}")
-    return _ok("lattice.point_class", "point class integrates to 1 under every twist")
+                return "FAIL", f"twist changed integral at g={g}"
+    return "PASS", "point class integrates to 1 under every twist"
 
 
 # -------------------------------------------------------------- transform --
 
 
-def _check_reciprocity_guard() -> CheckResult:
+def _check_reciprocity_guard() -> tuple[str, str]:
     rng = _rng("guard")
     for case in range(100):
         g = rng.randint(1, 5)
@@ -209,13 +203,13 @@ def _check_reciprocity_guard() -> CheckResult:
                 d_x=spec.d_x,
                 d_y=spec.d_y,
             )
-            return _fail("transform.reciprocity_guard", f"case {case}: accepted bad n_Y")
+            return "FAIL", f"case {case}: accepted bad n_Y"
         except transform.InvalidSpecError:
             pass
-    return _ok("transform.reciprocity_guard", "100 accept/reject pairs behaved")
+    return "PASS", "100 accept/reject pairs behaved"
 
 
-def _check_linearity() -> CheckResult:
+def _check_linearity() -> tuple[str, str]:
     rng = _rng("linear")
     for g in range(1, 5):
         spec = _rand_spec(rng, g)
@@ -226,29 +220,26 @@ def _check_linearity() -> CheckResult:
             lhs = transform.apply(spec, a + b.scale(q))
             rhs = transform.apply(spec, a) + transform.apply(spec, b).scale(q)
             if lhs != rhs:
-                return _fail("transform.linearity", f"broke at g={g}")
-    return _ok("transform.linearity", "apply is exactly linear")
+                return "FAIL", f"broke at g={g}"
+    return "PASS", "apply is exactly linear"
 
 
-def _check_composition_sign() -> CheckResult:
+def _check_composition_sign() -> tuple[str, str]:
     rng = _rng("comp")
     for g in range(1, 6):
         for _ in range(20):
             spec = _rand_spec(rng, g)
             rev, shift = transform.quasi_inverse(spec)
             if shift != g:
-                return _fail("transform.composition_sign", f"shift {shift} != g={g}")
+                return "FAIL", f"shift {shift} != g={g}"
             for e in lattice.divided_power_basis(spec.src):
                 back = transform.apply(rev, transform.apply(spec, e))
                 if back != e.scale((-1) ** g):
-                    return _fail(
-                        "transform.composition_sign",
-                        f"g={g}, r={spec.r}: round trip is not (-1)^g id",
-                    )
-    return _ok("transform.composition_sign", "reverse o forward = (-1)^g id, 20 specs per g<=5")
+                    return "FAIL", f"g={g}, r={spec.r}: round trip is not (-1)^g id"
+    return "PASS", "reverse o forward = (-1)^g id, 20 specs per g<=5"
 
 
-def _check_poincare_images() -> CheckResult:
+def _check_poincare_images() -> tuple[str, str]:
     for g in range(1, 6):
         for n_x in (Fraction(1), Fraction(factorial(g)), Fraction(2), Fraction(3, 2)):
             n_y = Fraction(factorial(g)) ** 2 / n_x
@@ -264,17 +255,11 @@ def _check_poincare_images() -> CheckResult:
                     (-1) ** (g - i) * (n_x / factorial(g)) / factorial(g - i)
                 )
                 if img != CohClass(spec.dst, tuple(want)):
-                    return _fail(
-                        "transform.poincare_images",
-                        f"g={g}, n_X={n_x}, basis {i}: got {img}",
-                    )
-    return _ok(
-        "transform.poincare_images",
-        "rank-one untwisted images of divided powers match the closed form",
-    )
+                    return "FAIL", f"g={g}, n_X={n_x}, basis {i}: got {img}"
+    return "PASS", "rank-one untwisted images of divided powers match the closed form"
 
 
-def _check_exp_image_shape() -> CheckResult:
+def _check_exp_image_shape() -> tuple[str, str]:
     rng = _rng("expimg")
     for g in range(1, 5):
         for _ in range(6):
@@ -284,17 +269,11 @@ def _check_exp_image_shape() -> CheckResult:
                 scale = Fraction(spec.r) * spec.src.n * m**g / factorial(g)
                 want = lattice.exp_div(-1 / m, spec.dst).scale(scale)
                 if img != want:
-                    return _fail(
-                        "transform.exp_image_shape",
-                        f"g={g}, m={m}: got {img}, want {want}",
-                    )
-    return _ok(
-        "transform.exp_image_shape",
-        "normalized exponential images are (r n_X m^g/g!) e^(-l/m)",
-    )
+                    return "FAIL", f"g={g}, m={m}: got {img}, want {want}"
+    return "PASS", "normalized exponential images are (r n_X m^g/g!) e^(-l/m)"
 
 
-def _check_adjoint_isometry() -> CheckResult:
+def _check_adjoint_isometry() -> tuple[str, str]:
     rng = _rng("adjoint")
     for g in (1, 2, 3):
         for _ in range(25):
@@ -302,40 +281,37 @@ def _check_adjoint_isometry() -> CheckResult:
             u = _rand_class(rng, spec.dst)
             v = _rand_class(rng, spec.src)
             if not transform.adjoint_pairing_check(spec, u, v):
-                return _fail("transform.adjoint_isometry", f"failed at g={g}")
-    return _ok("transform.adjoint_isometry", "pairing isometry on random pairs, g<=3")
+                return "FAIL", f"failed at g={g}"
+    return "PASS", "pairing isometry on random pairs, g<=3"
 
 
-def _check_polarization_image() -> CheckResult:
+def _check_polarization_image() -> tuple[str, str]:
     rng = _rng("polar")
     for g in range(1, 5):
         for _ in range(6):
             spec = _rand_spec(rng, g)
             m = _rand_pos(rng)
             if not transform.polarization_image_check(spec, m):
-                return _fail("transform.polarization_image", f"g={g}, m={m}")
-    return _ok(
-        "transform.polarization_image",
-        "image degree-one coefficient is negative for every ample scale",
-    )
+                return "FAIL", f"g={g}, m={m}"
+    return "PASS", "image degree-one coefficient is negative for every ample scale"
 
 
-def _check_gamma_scalars() -> CheckResult:
+def _check_gamma_scalars() -> tuple[str, str]:
     rng = _rng("gamma")
     for g in (1, 2, 3):
         spec = _rand_spec(rng, g)
         act = transform.gamma_action(spec, g)
         if act.forward_scale != spec.r or act.composite_scale != spec.r**3:
-            return _fail("transform.gamma_scalars", f"scales wrong at g={g}")
+            return "FAIL", f"scales wrong at g={g}"
         if act.dual_ctx.n != spec.r**2 * spec.src.n:
-            return _fail("transform.gamma_scalars", f"dual degree wrong at g={g}")
-    return _ok("transform.gamma_scalars", "scales (r, r^3) and dual degree r^2 n_X")
+            return "FAIL", f"dual degree wrong at g={g}"
+    return "PASS", "scales (r, r^3) and dual degree r^2 n_X"
 
 
 # -------------------------------------------------------------------- law --
 
 
-def _check_zeta_reality() -> CheckResult:
+def _check_zeta_reality() -> tuple[str, str]:
     for g in range(1, 7):
         n_x = Fraction(factorial(g))
         spec = transform.FMTransformSpec(
@@ -351,13 +327,11 @@ def _check_zeta_reality() -> CheckResult:
                 z = induced.zeta(spec, u)
                 should_be_real = (Fraction(p, q) * g).denominator == 1
                 if z.is_real != should_be_real:
-                    return _fail(
-                        "law.zeta_reality", f"g={g}, angle {p}/{q}: is_real={z.is_real}"
-                    )
+                    return "FAIL", f"g={g}, angle {p}/{q}: is_real={z.is_real}"
         for f in induced.real_zeta_angles(g):
             if not induced.zeta(spec, PolarScalar(Fraction(2), f)).is_real:
-                return _fail("law.zeta_reality", f"listed angle {f} not real at g={g}")
-    return _ok("law.zeta_reality", "zeta real exactly when g*angle is an integer")
+                return "FAIL", f"listed angle {f} not real at g={g}"
+    return "PASS", "zeta real exactly when g*angle is an integer"
 
 
 def _law_specs(g: int) -> list[transform.FMTransformSpec]:
@@ -390,7 +364,7 @@ def _law_specs(g: int) -> list[transform.FMTransformSpec]:
     return specs
 
 
-def _check_induced_identity() -> CheckResult:
+def _check_induced_identity() -> tuple[str, str]:
     lambdas = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3))
     for g in (2, 3):
         for spec in _law_specs(g):
@@ -401,18 +375,14 @@ def _check_induced_identity() -> CheckResult:
                     verdicts = induced.verify_induced_law(spec, u, basis)
                     for v in verdicts:
                         if not (v.equal and v.exact):
-                            return _fail(
-                                "law.induced_identity",
+                            return "FAIL", (
                                 f"g={g}, r={spec.r}, k={k}, lam={lam}, {v.label}: "
-                                f"{v.lhs} vs {v.rhs}",
+                                f"{v.lhs} vs {v.rhs}"
                             )
-    return _ok(
-        "law.induced_identity",
-        "charge transport holds exactly for all angle/modulus/spec combinations",
-    )
+    return "PASS", "charge transport holds exactly for all angle/modulus/spec combinations"
 
 
-def _check_param_positivity() -> CheckResult:
+def _check_param_positivity() -> tuple[str, str]:
     lambdas = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3))
     for g in (2, 3, 6):
         for spec in (_law_specs(g)[0], _law_specs(g)[1]):
@@ -420,17 +390,13 @@ def _check_param_positivity() -> CheckResult:
                 for lam in lambdas:
                     om_s, om_d = (om.as_surd() for om in induced.conjecture_params(spec, k, lam))
                     if om_s is None or om_d is None:
-                        return _fail(
-                            "law.param_positivity", f"g={g}, k={k}: inexact components"
-                        )
+                        return "FAIL", f"g={g}, k={k}: inexact components"
                     if om_s.im.sign() <= 0 or om_d.im.sign() <= 0:
-                        return _fail(
-                            "law.param_positivity", f"g={g}, k={k}, lam={lam}: Im <= 0"
-                        )
-    return _ok("law.param_positivity", "both matched polarizations stay complexified")
+                        return "FAIL", f"g={g}, k={k}, lam={lam}: Im <= 0"
+    return "PASS", "both matched polarizations stay complexified"
 
 
-def _check_param_duality() -> CheckResult:
+def _check_param_duality() -> tuple[str, str]:
     lambdas = (Fraction(1, 2), Fraction(2), Fraction(7, 3))
     for g in (2, 3):
         for spec in _law_specs(g)[:4]:
@@ -440,32 +406,24 @@ def _check_param_duality() -> CheckResult:
                     om_s, om_d = induced.conjecture_params(spec, k, lam)
                     rv_s, rv_d = induced.conjecture_params(rev, g - k, 1 / lam)
                     if rv_s.as_surd() != om_d.as_surd() or rv_d.as_surd() != om_s.as_surd():
-                        return _fail(
-                            "law.param_duality",
-                            f"g={g}, k={k}, lam={lam}: reverse params do not swap",
-                        )
-    return _ok(
-        "law.param_duality",
-        "reverse spec with k->g-k, lam->1/lam exchanges the two polarizations",
-    )
+                        return "FAIL", f"g={g}, k={k}, lam={lam}: reverse params do not swap"
+    return "PASS", "reverse spec with k->g-k, lam->1/lam exchanges the two polarizations"
 
 
-def _check_heart_shift() -> CheckResult:
+def _check_heart_shift() -> tuple[str, str]:
     for g in (2, 3):
         for spec in _law_specs(g)[:3]:
             u = PolarScalar(Fraction(1), Fraction(1, g))
             e = lattice.skyscraper(spec.src)
             verdict = induced.phase_shift_check(spec, u, e)
             if not (verdict.holds and verdict.exact and verdict.expected_shift == 1):
-                return _fail(
-                    "law.heart_shift",
-                    f"g={g}, r={spec.r}: holds={verdict.holds}, "
-                    f"shift={verdict.expected_shift}",
+                return "FAIL", (
+                    f"g={g}, r={spec.r}: holds={verdict.holds}, shift={verdict.expected_shift}"
                 )
-    return _ok("law.heart_shift", "phase transport holds with predicted heart shift 1")
+    return "PASS", "phase transport holds with predicted heart shift 1"
 
 
-def _check_corrupted_spec() -> CheckResult:
+def _check_corrupted_spec() -> tuple[str, str]:
     try:
         transform.FMTransformSpec(
             src=AbelianContext(2, Fraction(2), "X"),
@@ -473,8 +431,8 @@ def _check_corrupted_spec() -> CheckResult:
             r=1,
         )
     except transform.InvalidSpecError as exc:
-        return _ok("law.corrupted_spec", f"rejected: {exc}")
-    return _fail("law.corrupted_spec", "perturbed degree pair was accepted")
+        return "PASS", f"rejected: {exc}"
+    return "FAIL", "perturbed degree pair was accepted"
 
 
 # ---------------------------------------------------------- stability, bg --
@@ -490,7 +448,7 @@ def _convolved_charge(ctx, b, t, e, k) -> SurdComplex:
     return -z
 
 
-def _check_point_charge() -> CheckResult:
+def _check_point_charge() -> tuple[str, str]:
     rng = _rng("pointcharge")
     for g in (2, 3):
         ctx = AbelianContext(g, _rand_pos(rng))
@@ -498,15 +456,15 @@ def _check_point_charge() -> CheckResult:
         for _ in range(10):
             spec = stability.ChargeSpec(ctx, g, _rand_rat(rng), _rand_pos(rng))
             if stability.charge(spec, p) != SurdComplex(Q3(-1)):
-                return _fail("bg.point_charge", f"full charge != -1 at g={g}")
+                return "FAIL", f"full charge != -1 at g={g}"
             if stability.phase_cmp(spec, p, Fraction(1)) != 0:
-                return _fail("bg.point_charge", f"phase != 1 at g={g}")
+                return "FAIL", f"phase != 1 at g={g}"
             if stability.slope(spec, p) is not None:
-                return _fail("bg.point_charge", f"slope finite at g={g}")
-    return _ok("bg.point_charge", "point class has charge -1, phase 1, infinite slope")
+                return "FAIL", f"slope finite at g={g}"
+    return "PASS", "point class has charge -1, phase 1, infinite slope"
 
 
-def _check_point_kernel() -> CheckResult:
+def _check_point_kernel() -> tuple[str, str]:
     for g in (2, 3, 4):
         ctx = AbelianContext(g, Fraction(2))
         p = lattice.skyscraper(ctx)
@@ -514,13 +472,13 @@ def _check_point_kernel() -> CheckResult:
             spec = stability.ChargeSpec(ctx, k, Fraction(1, 3), Fraction(2))
             z = stability.charge(spec, p)
             if not z.is_zero:
-                return _fail("bg.point_kernel", f"Z != 0 at g={g}, k={k}")
+                return "FAIL", f"Z != 0 at g={g}, k={k}"
             if stability.phase(spec, p) is not None:
-                return _fail("bg.point_kernel", f"phase defined at g={g}, k={k}")
-    return _ok("bg.point_kernel", "truncated charges kill the point class, phase undefined")
+                return "FAIL", f"phase defined at g={g}, k={k}"
+    return "PASS", "truncated charges kill the point class, phase undefined"
 
 
-def _check_charge_oracle() -> CheckResult:
+def _check_charge_oracle() -> tuple[str, str]:
     rng = _rng("oracle")
     for g in range(1, 5):
         ctx = AbelianContext(g, _rand_pos(rng))
@@ -533,16 +491,16 @@ def _check_charge_oracle() -> CheckResult:
             a = stability.charge(spec, e)
             o = _convolved_charge(ctx, b, t, e, k)
             if a != o:
-                return _fail("bg.charge_oracle", f"mismatch at g={g}, k={k}")
+                return "FAIL", f"mismatch at g={g}, k={k}"
             e2 = _rand_class(rng, ctx)
             if stability.charge(spec, e) + stability.charge(spec, e2) != stability.charge(
                 spec, e + e2
             ):
-                return _fail("bg.charge_oracle", f"additivity broke at g={g}")
-    return _ok("bg.charge_oracle", "closed form matches series convolution; additive")
+                return "FAIL", f"additivity broke at g={g}"
+    return "PASS", "closed form matches series convolution; additive"
 
 
-def _check_slope_scaling() -> CheckResult:
+def _check_slope_scaling() -> tuple[str, str]:
     rng = _rng("slopescale")
     ctx = AbelianContext(3, Fraction(2))
     for _ in range(20):
@@ -552,11 +510,11 @@ def _check_slope_scaling() -> CheckResult:
         s1 = stability.slope(spec, e)
         s2 = stability.slope(spec, e.scale(q))
         if stability.slope_cmp(s1, s2) != 0:
-            return _fail("bg.slope_scaling", f"slope moved under scaling by {q}")
-    return _ok("bg.slope_scaling", "slope invariant under positive rescaling")
+            return "FAIL", f"slope moved under scaling by {q}"
+    return "PASS", "slope invariant under positive rescaling"
 
 
-def _check_hn_polygon() -> CheckResult:
+def _check_hn_polygon() -> tuple[str, str]:
     ctx = AbelianContext(1, Fraction(1))
     spec = stability.ChargeSpec(ctx, 1, Fraction(0), Fraction(1))
     # degree d line bundle has charge i - d here, hence slope d
@@ -565,39 +523,39 @@ def _check_hn_polygon() -> CheckResult:
     up = lattice.line_bundle(ctx, Fraction(1))
     good = stability.hn_polygon([up, z0, dn], spec)
     if not good.valid:
-        return _fail("bg.hn_polygon", "descending slopes judged invalid")
+        return "FAIL", "descending slopes judged invalid"
     bad = stability.hn_polygon([z0, up], spec)
     if bad.valid:
-        return _fail("bg.hn_polygon", "ascending slopes judged valid")
+        return "FAIL", "ascending slopes judged valid"
     if list(bad.sorted_order) != [1, 0]:
-        return _fail("bg.hn_polygon", f"sort order wrong: {bad.sorted_order}")
+        return "FAIL", f"sort order wrong: {bad.sorted_order}"
     merged = stability.hn_polygon([dn, dn], spec)
     if not merged.valid:
-        return _fail("bg.hn_polygon", "equal adjacent slopes must merge into one edge")
+        return "FAIL", "equal adjacent slopes must merge into one edge"
     if any(v[0].sign() < 0 for v in good.vertices):
-        return _fail("bg.hn_polygon", "x coordinate went negative")
+        return "FAIL", "x coordinate went negative"
     try:
         stability.hn_polygon([-up], spec)
-        return _fail("bg.hn_polygon", "accepted a factor outside the heart range")
+        return "FAIL", "accepted a factor outside the heart range"
     except stability.HeartValueError:
         pass
-    return _ok("bg.hn_polygon", "validity, plumbing order and rejection all behave")
+    return "PASS", "validity, plumbing order and rejection all behave"
 
 
-def _check_bound_cases() -> CheckResult:
+def _check_bound_cases() -> tuple[str, str]:
     rng = _rng("bound")
     ctx = AbelianContext(3, Fraction(6))
     v = lattice.structure_sheaf(ctx)
     verdict = stability.bg_check(ctx, Fraction(0), Fraction(1), v)
     if not verdict.inequality_holds:
-        return _fail("bg.bound_cases", "trivial 0 <= 0 case judged false")
+        return "FAIL", "trivial 0 <= 0 case judged false"
     p = lattice.skyscraper(ctx)
     verdict = stability.bg_check(ctx, Fraction(0), Fraction(1), p)
     if verdict.inequality_holds or verdict.precondition_zero_slope:
-        return _fail("bg.bound_cases", "point class verdicts wrong")
+        return "FAIL", "point class verdicts wrong"
     z = CohClass.zero(ctx)
     if not stability.bg_check(ctx, Fraction(0), Fraction(1), z).inequality_holds:
-        return _fail("bg.bound_cases", "zero class not vacuously true")
+        return "FAIL", "zero class not vacuously true"
     for _ in range(50):
         e = _rand_class(rng, ctx)
         b = _rand_rat(rng)
@@ -608,31 +566,31 @@ def _check_bound_cases() -> CheckResult:
         v1 = stability.bg_check(ctx, b, t1, e)
         v2 = stability.bg_check(ctx, b, t2, e)
         if v1.inequality_holds and not v2.inequality_holds:
-            return _fail("bg.bound_cases", f"monotonicity broke at b={b}, t={t1}->{t2}")
-    return _ok("bg.bound_cases", "trivial, point, zero and t-monotone cases all behave")
+            return "FAIL", f"monotonicity broke at b={b}, t={t1}->{t2}"
+    return "PASS", "trivial, point, zero and t-monotone cases all behave"
 
 
-def _check_slice_windows() -> CheckResult:
+def _check_slice_windows() -> tuple[str, str]:
     ctx = AbelianContext(2, Fraction(2))
     spec = stability.ChargeSpec(ctx, 2, Fraction(0), Fraction(1))
     p = lattice.skyscraper(ctx)
     half, one, threehalf = Fraction(1, 2), Fraction(1), Fraction(3, 2)
     if not stability.in_slice(spec, p, (half, one)):
-        return _fail("bg.slice_windows", "point class not in (1/2, 1]")
+        return "FAIL", "point class not in (1/2, 1]"
     ctx1 = AbelianContext(1, Fraction(1))
     spec1 = stability.ChargeSpec(ctx1, 1, Fraction(0), Fraction(1))
     o = lattice.structure_sheaf(ctx1)  # charge i, phase 1/2
     if stability.in_slice(spec1, o, (half, one)):
-        return _fail("bg.slice_windows", "phase 1/2 leaked into the open end")
+        return "FAIL", "phase 1/2 leaked into the open end"
     sh = transform.ShiftedClass(o, 1)  # phase 3/2
     if not stability.in_slice(spec1, sh, (half, threehalf)):
-        return _fail("bg.slice_windows", "shifted phase 3/2 missed (1/2, 3/2]")
+        return "FAIL", "shifted phase 3/2 missed (1/2, 3/2]"
     tower = stability.heart_tower(ctx, Fraction(0), Fraction(1))
     if [lvl.k for lvl in tower] != [1, 2] or not tower[-1].is_top:
-        return _fail("bg.slice_windows", "tower levels wrong")
+        return "FAIL", "tower levels wrong"
     if tower[0].heart != "Coh" or tower[1].window != (half, threehalf):
-        return _fail("bg.slice_windows", "tower descriptors wrong")
-    return _ok("bg.slice_windows", "slice membership and tower descriptors behave")
+        return "FAIL", "tower descriptors wrong"
+    return "PASS", "slice membership and tower descriptors behave"
 
 
 def _plain_truncated_integral(ctx, b, t, e, k) -> SurdComplex:
@@ -648,7 +606,7 @@ def _plain_truncated_integral(ctx, b, t, e, k) -> SurdComplex:
     return ctx.n * top
 
 
-def _check_rotation_note() -> CheckResult:
+def _check_rotation_convention() -> tuple[str, str]:
     # measure the quarter-turn factor -(i^(g-k)) at two spot levels
     ctx3 = AbelianContext(3, Fraction(6))
     e3 = lattice.line_bundle(ctx3, Fraction(1))
@@ -659,8 +617,7 @@ def _check_rotation_note() -> CheckResult:
     z2 = stability.charge(stability.ChargeSpec(ctx2, 1), e2)
     plain2 = _plain_truncated_integral(ctx2, Fraction(0), Fraction(1), e2, 1)
     g2_minus_i = z2 == -(plain2.times_i())
-    return CheckResult(
-        "bg.rotation_convention",
+    return (
         "NOTE",
         "level k quarter-turn is -(i^(g-k)); at g=3,k=1 that is the plain "
         f"integral (matches: {g3_plain}) and at g=2,k=1 it is -i times it "
@@ -677,7 +634,7 @@ _SUITE_CHECKS = {
         _check_vvector_roundtrip,
         _check_point_class,
         _check_chi_advisory,
-        _check_pairing_symmetry_note,
+        _check_pairing_symmetry,
     ),
     "transform": (
         _check_reciprocity_guard,
@@ -705,7 +662,7 @@ _SUITE_CHECKS = {
         _check_hn_polygon,
         _check_bound_cases,
         _check_slice_windows,
-        _check_rotation_note,
+        _check_rotation_convention,
     ),
 }
 SUITES = (*_SUITE_CHECKS, "all")
@@ -719,6 +676,9 @@ def run_verify(suite: str) -> tuple[list[CheckResult], bool]:
     results: list[CheckResult] = []
     for name, checks in _SUITE_CHECKS.items():
         if suite in ("all", name):
-            results.extend(check() for check in checks)
+            for check in checks:
+                status, detail = check()
+                tag = check.__name__.removeprefix("_check_")
+                results.append(CheckResult(f"{name}.{tag}", status, detail))
     ok = all(r.status != "FAIL" for r in results)
     return results, ok

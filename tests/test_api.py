@@ -155,8 +155,8 @@ def test_parser_choices_equal_the_module_tuples():
 
 LOADED = """
 import json, sys
-print(json.dumps(sorted(m for m in ("abelfm.induced", "abelfm.scan", "abelfm.verify")
-                        if m in sys.modules)))
+verbs = ("induced", "scan", "stability", "transform", "verify")
+print(json.dumps([f"abelfm.{m}" for m in verbs if f"abelfm.{m}" in sys.modules]))
 """
 
 
@@ -171,7 +171,17 @@ ctx = config.context_from({cfg!r})
 config.charge_from({cfg!r}, ctx)
 cli.build_parser()
 """ + LOADED
-    assert fresh(code) == []
+    assert fresh(code) == ["abelfm.stability"]
+
+
+def test_transform_config_loads_transform_only():
+    cfg = {"transform": {"g": 2, "nX": "2", "nY": "2", "r": 1, "dX": "0", "dY": "0"}}
+    code = f"""
+import abelfm, abelfm.cli
+from abelfm import config
+config.transform_from({cfg!r})
+""" + LOADED
+    assert fresh(code) == ["abelfm.transform"]
 
 
 def test_scan_config_loads_scan_only():
@@ -185,4 +195,4 @@ import abelfm, abelfm.cli
 from abelfm import config
 config.scan_from({cfg!r}, config.context_from({cfg!r}))
 """ + LOADED
-    assert fresh(code) == ["abelfm.scan"]
+    assert fresh(code) == ["abelfm.scan", "abelfm.stability"]

@@ -94,6 +94,25 @@ def test_charge_point_class(capsys):
     assert "advisory" not in err  # chi = 1 here
 
 
+@pytest.mark.parametrize(
+    "b, t, cls, phase",
+    [
+        # Z = beta^2 = 10^800 - 1 + 2*10^400 i: parts past float range
+        ("1" + "0" * 400, "1", "-1,0,0", "0"),
+        # Z = 2it with t below float range: exactly phase 1/2
+        ("0", "1/1" + "0" * 400, "0,1,0", "0.5"),
+    ],
+    ids=["huge-parts", "tiny-parts"],
+)
+def test_charge_phase_of_parts_outside_float_range(capsys, tmp_path, b, t, cls, phase):
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({"context": {"g": 2, "n": "2"},
+                               "charge": {"k": 2, "b": b, "t": t}}), encoding="utf-8")
+    rc, out, err = run(capsys, ["charge", "--config", str(cfg), f"--class={cls}"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[3] == f"phase = {phase}"
+
+
 def test_charge_fractional_chi_advisory(capsys, tmp_path):
     cfg = tmp_path / "frac.json"
     cfg.write_text(
@@ -166,6 +185,37 @@ def test_walls_json_format(capsys, scan_cfg, tmp_path):
     assert len(rec["cells"]) == 16
 
 
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "b_range, t_range",
+    [
+        ([f"-{BIG}", BIG], ["1/100", "2"]),
+        (["-2", "2"], ["1", "1000000000000000000000000000001/1000000000000000000000000000000"]),
+        (["-2", "2"], [f"1/{BIG}", f"2/{BIG}"]),
+    ],
+    ids=["huge-b", "narrow-t", "tiny-t"],
+)
+def test_walls_svg_for_any_exact_range(capsys, tmp_path, b_range, t_range):
+    # every point is placed by its exact relative position, so a range that
+    # CSV and JSON handle never leaves float range in the SVG
+    cfg = tmp_path / "range.json"
+    cfg.write_text(json.dumps({
+        "context": {"g": 2, "n": "2"},
+        "scan": {"k": 2, "v": "1,0,0", "walls": ["0,0,1/2"], "b_range": b_range,
+                 "t_range": t_range, "resolution": [9, 9]},
+    }), encoding="utf-8")
+    rc, csv, _ = run(capsys, ["walls", "--config", str(cfg)])
+    assert rc == 0
+    rc, svg, err = run(capsys, ["walls", "--config", str(cfg), "--format", "svg"])
+    assert (rc, err) == (0, "")
+    assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
+    cells = re.findall(r'<rect x="([-\d.]+)" y="([-\d.]+)" width="69.000" height="51.000"/>', svg)
+    assert len(cells) == len(csv.splitlines()) - 1 > 0
+    assert all(64 <= float(x) <= 616 and 24 <= float(y) <= 432 for x, y in cells)
+
+
 def test_walls_out_dir_env(capsys, scan_cfg, tmp_path, monkeypatch):
     outdir = tmp_path / "redirected"
     outdir.mkdir()
@@ -202,6 +252,17 @@ def test_verify_all_matches_golden(capsys):
     rc, out, _ = run(capsys, ["verify", "--suite", "all"])
     assert rc == 0
     assert out == (GOLDEN / "verify_all.txt").read_bytes().decode("utf-8")
+
+
+def test_verify_failure_names_the_check(capsys, monkeypatch):
+    import abelfm.lattice
+
+    monkeypatch.setattr(abelfm.lattice, "chi_advisory", lambda ctx: None)
+    rc, out, _ = run(capsys, ["verify", "--suite", "lattice"])
+    assert rc == 1
+    lines = out.splitlines()
+    assert "FAIL lattice.chi_advisory: missed fractional chi=3/2" in lines
+    assert lines[-1] == "FAILED: 7 checks, 1 failures"
 
 
 def test_usage_exit_codes(capsys):

@@ -8,7 +8,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelfm.lattice import AbelianContext, CohClass, line_bundle, skyscraper, structure_sheaf
+from abelfm.lattice import (
+    AbelianContext,
+    CohClass,
+    ContextMismatchError,
+    line_bundle,
+    skyscraper,
+    structure_sheaf,
+)
 from abelfm.scan import (
     RecheckFailure,
     ScanRequest,
@@ -64,6 +71,11 @@ def test_request_validation():
     for k in (True, 1.5, F(2)):
         with pytest.raises(ValueError, match="level k must be an integer"):
             ScanRequest(ctx, k, o, (o,), (F(-2), F(2)), (F(1), F(2)), (9, 9))
+    alien = structure_sheaf(AbelianContext(2, F(7)))
+    with pytest.raises(ContextMismatchError, match="^probe class: context mismatch"):
+        ScanRequest(ctx, 2, alien, (o,), (F(-2), F(2)), (F(1), F(2)), (9, 9))
+    with pytest.raises(ContextMismatchError, match="^wall class 1: context mismatch"):
+        ScanRequest(ctx, 2, o, (o, alien), (F(-2), F(2)), (F(1), F(2)), (9, 9))
 
 
 def test_skyscraper_wall_is_b_zero_line():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from abelfm.lattice import (
     AbelianContext,
     CohClass,
+    ContextMismatchError,
     line_bundle,
     skyscraper,
     structure_sheaf,
@@ -415,6 +416,15 @@ def test_bg_check_twist_enters():
 def test_bg_check_requires_threefold():
     with pytest.raises(ValueError):
         bg_check(ctx2(), F(0), F(1), structure_sheaf(ctx2()))
+
+
+def test_foreign_context_is_a_context_mismatch():
+    alien = structure_sheaf(AbelianContext(2, F(7)))
+    with pytest.raises(ContextMismatchError, match="^charge: context mismatch"):
+        charge(ChargeSpec(ctx2(), 2), alien)
+    ctx3 = AbelianContext(3, F(6))
+    with pytest.raises(ContextMismatchError, match="^bg_check: context mismatch"):
+        bg_check(ctx3, F(0), F(1), structure_sheaf(AbelianContext(3, F(12))))
 
 
 def test_bg_check_monotone_in_t():
