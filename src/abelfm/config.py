@@ -69,17 +69,20 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def _rat(block: dict, key: str, where: str, parse=parse_rational):
+def _exact(val, where: str, parse=parse_rational):
     """An exact leaf: a plain JSON integer, or a string read by parse."""
-    val = _need(block, key, where)
     if isinstance(val, int) and not isinstance(val, bool):
         return Fraction(val)
     if isinstance(val, str):
         try:
             return parse(val)
         except ValueError as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from None
-    raise ConfigError(f"{where}.{key}: want a rational string, got {val!r}")
+            raise ConfigError(f"{where}: {exc}") from None
+    raise ConfigError(f"{where}: want a rational string, got {val!r}")
+
+
+def _rat(block: dict, key: str, where: str, parse=parse_rational):
+    return _exact(_need(block, key, where), f"{where}.{key}", parse)
 
 
 def _int(block: dict, key: str, where: str) -> int:
@@ -174,10 +177,7 @@ def scan_from(cfg: dict, ctx: AbelianContext) -> ScanRequest:
         pair = _need(block, key, "scan")
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"scan.{key}: want a two-element list")
-        try:
-            rng[key] = (parse_rational(str(pair[0])), parse_rational(str(pair[1])))
-        except ValueError as exc:
-            raise ConfigError(f"scan.{key}: {exc}") from None
+        rng[key] = (_exact(pair[0], f"scan.{key}"), _exact(pair[1], f"scan.{key}"))
     res = _need(block, "resolution", "scan")
     if not (isinstance(res, list) and len(res) == 2):
         raise ConfigError("scan.resolution: want a two-element list")

@@ -138,27 +138,22 @@ class CohClass:
         p = q.numerator
         return CohClass._new(self.ctx, [p * x for x in self._nums], self._den * q.denominator)
 
-    def __add__(self, other: "CohClass") -> "CohClass":
+    def _sum(self, other, sign: int, op: str):
+        """self + sign*other for sign 1 or -1, over d1 when the denominators
+        agree and over d1*d2 otherwise."""
         if not isinstance(other, CohClass):
             return NotImplemented
-        _require_match(self.ctx, other.ctx, "add")
+        _require_match(self.ctx, other.ctx, op)
         d1, d2 = self._den, other._den
-        if d1 == d2:
-            return CohClass._new(self.ctx, [a + b for a, b in zip(self._nums, other._nums)], d1)
-        return CohClass._new(
-            self.ctx, [a * d2 + b * d1 for a, b in zip(self._nums, other._nums)], d1 * d2
-        )
+        m1, m2 = (1, sign) if d1 == d2 else (d2, sign * d1)
+        nums = [a * m1 + b * m2 for a, b in zip(self._nums, other._nums)]
+        return CohClass._new(self.ctx, nums, d1 * m1)
+
+    def __add__(self, other: "CohClass") -> "CohClass":
+        return self._sum(other, 1, "add")
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        _require_match(self.ctx, other.ctx, "sub")
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            return CohClass._new(self.ctx, [a - b for a, b in zip(self._nums, other._nums)], d1)
-        return CohClass._new(
-            self.ctx, [a * d2 - b * d1 for a, b in zip(self._nums, other._nums)], d1 * d2
-        )
+        return self._sum(other, -1, "sub")
 
     def __neg__(self) -> "CohClass":
         return CohClass._new(self.ctx, self._nums, -self._den)

@@ -53,10 +53,6 @@ def parse_surd(text: str) -> Q3:
     return Q3(parse_rational(body[:cut]), parse_rational(body[cut:]))
 
 
-def format_surd(x: Q3) -> str:
-    return str(x)
-
-
 def parse_class_coeffs(text: str) -> list[Fraction]:
     parts = text.strip().split(",")
     if not parts or parts == [""]:

@@ -24,9 +24,10 @@ which ChargeSpec and scan.ScanRequest both call; bg_check validates its
 slope +infinity (returned as None); _slope_of computes them for slope and
 hn_polygon alike, and slope_cmp orders them.
 Phases are arg(Z)/pi in (0, 1] plus any explicit homological shift carried
-by the class.  phase() is a display value, accurate to about 1e-12.
-_display_phase scales both exact parts of the charge into float range
-before its one atan2, so charges of any size have one.
+by the class.  phase() is a display value: _display_phase scales both
+exact parts of the charge into float range, rounds each once from its exact
+integers (float of a Q3), and takes one atan2, so charges of any size, and
+parts that nearly cancel, have one.
 phase_cmp decides a comparison against a rational bound with one exact
 sign test in Q(sqrt 3) against each multiple of 1/12 it needs: the bound
 itself when 12 times it is an integer, else the two twelfths around it.
@@ -178,8 +179,8 @@ def _check_heart_value(z: SurdComplex) -> None:
 
 
 def phase(spec: ChargeSpec, e) -> float | None:
-    """arg(Z)/pi + shift as a float display value (about 1e-12 accurate),
-    None when Z = 0 (kernel class).  Raises HeartValueError for values in
+    """arg(Z)/pi + shift as a float display value, from parts rounded once
+    from their exact integers, None when Z = 0 (kernel class).  Raises HeartValueError for values in
     the open lower half-plane or on the positive real axis."""
     cls, shift = _split(e)
     z = charge(spec, cls)

@@ -16,7 +16,9 @@ A Q3 is stored as one integer triple (a, b, d) standing for
 (a + b*sqrt 3)/d, with d > 0 and gcd(a, b, d) = 1.  That form is unique, so
 equality compares triples, and each arithmetic result is brought to it by a
 single integer gcd.  The rational parts r and s are Fraction views of the
-triple.
+triple.  A float is rounded once from the triple, by an integer square root
+and one integer division, so it keeps its sign and size even where a and
+b*sqrt 3 nearly cancel.
 
 Everything in this module is immutable and hashable.
 """
@@ -25,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, sqrt
-
-_SQRT3 = sqrt(3.0)
+from functools import total_ordering, wraps
+from math import gcd, isqrt, lcm
 
 
 def as_fraction(x) -> Fraction:
@@ -53,6 +54,15 @@ def _parts(x) -> "tuple[int, int, int] | None":
     return None
 
 
+def _sum(x: tuple[int, int, int], y: tuple[int, int, int], sign: int) -> "Q3":
+    """x + sign*y for canonical triples and sign 1 or -1, over d1 when the
+    denominators agree and over d1*d2 otherwise."""
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    m1, m2 = (1, sign) if d1 == d2 else (d2, sign * d1)
+    return Q3._new(a1 * m1 + a2 * m2, b1 * m1 + b2 * m2, d1 * m1)
+
+
 def _quotient(n: tuple[int, int, int], m: tuple[int, int, int]) -> "Q3":
     """n/m for canonical triples: multiply by the conjugate of m, whose
     norm a^2 - 3b^2 vanishes only at zero because sqrt 3 is irrational."""
@@ -67,6 +77,7 @@ def _quotient(n: tuple[int, int, int], m: tuple[int, int, int]) -> "Q3":
     return Q3._new(a, b, d)
 
 
+@total_ordering
 class Q3:
     """The value r + s*sqrt(3) with exact rational r and s, stored as the
     integer triple (a, b, d) of (a + b*sqrt 3)/d with d > 0 and
@@ -126,11 +137,7 @@ class Q3:
         o = other._abd if type(other) is Q3 else _parts(other)
         if o is None:
             return NotImplemented
-        a1, b1, d1 = self._abd
-        a2, b2, d2 = o
-        if d1 == d2:
-            return Q3._new(a1 + a2, b1 + b2, d1)
-        return Q3._new(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        return _sum(self._abd, o, 1)
 
     __radd__ = __add__
 
@@ -138,17 +145,13 @@ class Q3:
         o = other._abd if type(other) is Q3 else _parts(other)
         if o is None:
             return NotImplemented
-        a1, b1, d1 = self._abd
-        a2, b2, d2 = o
-        if d1 == d2:
-            return Q3._new(a1 - a2, b1 - b2, d1)
-        return Q3._new(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+        return _sum(self._abd, o, -1)
 
     def __rsub__(self, other):
         o = _parts(other)
         if o is None:
             return NotImplemented
-        return Q3._new(*o) - self
+        return _sum(o, self._abd, -1)
 
     def __mul__(self, other):
         o = other._abd if type(other) is Q3 else _parts(other)
@@ -191,41 +194,24 @@ class Q3:
         # rational values must hash like their Fraction counterparts
         return hash(self.r) if self.is_rational else hash((self.r, self.s))
 
-    def _cmp(self, other) -> int | None:
-        if _parts(other) is None:
-            return None
-        return (self - other).sign()
-
     def __lt__(self, other):
-        c = self._cmp(other)
-        if c is None:
+        o = other._abd if type(other) is Q3 else _parts(other)
+        if o is None:
             return NotImplemented
-        return c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
+        return _sum(self._abd, o, -1).sign() < 0
 
     def __bool__(self):
         return self.sign() != 0
 
     def __float__(self):
+        # one rounding, int by int: sqrt 3 enters as isqrt(3 b^2 4^k), and 2^k
+        # keeps 64 bits past any cancellation, as |a + b sqrt 3| >= 1/|a - b sqrt 3|
         a, b, d = self._abd
-        return a / d + b / d * _SQRT3
+        if not b:
+            return a / d
+        k = 2 * max(a.bit_length(), b.bit_length()) + 64
+        root = isqrt(3 * b * b << 2 * k)
+        return ((a << k) + (root if b > 0 else -root)) / (d << k)
 
     def __repr__(self):
         return f"Q3(r={self.r!r}, s={self.s!r})"
@@ -251,6 +237,23 @@ def as_q3(x) -> Q3:
     if o is None:
         raise TypeError(f"expected Q3 or exact rational, got {x!r}")
     return x if type(x) is Q3 else Q3._new(*o)
+
+
+def _exact_operand(op):
+    """The SurdComplex operator op(self, o), its operand coerced to
+    SurdComplex first; NotImplemented for an operand that is not exact."""
+
+    @wraps(op)
+    def method(self, other):
+        t = type(other)
+        if t is SurdComplex:
+            return op(self, other)
+        if t is Q3:
+            return op(self, SurdComplex._new(other, _Q3_ZERO))
+        o = _parts(other)
+        return NotImplemented if o is None else op(self, SurdComplex._new(Q3._new(*o), _Q3_ZERO))
+
+    return method
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,42 +288,24 @@ class SurdComplex:
     def norm2(self) -> Q3:
         return self.re * self.re + self.im * self.im
 
-    @staticmethod
-    def _coerce(other) -> "SurdComplex | None":
-        t = type(other)
-        if t is SurdComplex:
-            return other
-        if t is Q3:
-            return SurdComplex._new(other, _Q3_ZERO)
-        o = _parts(other)
-        return None if o is None else SurdComplex._new(Q3._new(*o), _Q3_ZERO)
-
-    def __add__(self, other):
-        o = SurdComplex._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_exact_operand
+    def __add__(self, o):
         if o.im is _Q3_ZERO:  # a real operand: coercion shares this zero
             return SurdComplex._new(self.re + o.re, self.im)
         return SurdComplex._new(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = SurdComplex._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_exact_operand
+    def __sub__(self, o):
         return SurdComplex._new(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = SurdComplex._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_exact_operand
+    def __rsub__(self, o):
         return SurdComplex._new(o.re - self.re, o.im - self.im)
 
-    def __mul__(self, other):
-        o = SurdComplex._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_exact_operand
+    def __mul__(self, o):
         if o.im is _Q3_ZERO:  # a real factor: two products, not four
             return SurdComplex._new(self.re * o.re, self.im * o.re)
         return SurdComplex._new(
@@ -330,33 +315,28 @@ class SurdComplex:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = SurdComplex._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_exact_operand
+    def __truediv__(self, o):
         n2 = o.norm2()
         if n2.sign() == 0:
             raise ZeroDivisionError("complex division by zero")
         num = self * o.conj()
         return SurdComplex._new(num.re / n2, num.im / n2)
 
-    def __rtruediv__(self, other):
-        o = SurdComplex._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_exact_operand
+    def __rtruediv__(self, o):
         return o / self
 
     def __neg__(self):
         return SurdComplex._new(-self.re, -self.im)
 
-    def __eq__(self, other):
-        o = SurdComplex._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_exact_operand
+    def __eq__(self, o):
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like its real part, so like an equal Q3, int or Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __str__(self):
         sep = "+" if self.im.sign() >= 0 else "-"

@@ -113,6 +113,17 @@ def test_charge_phase_of_parts_outside_float_range(capsys, tmp_path, b, t, cls, 
     assert out.splitlines()[3] == f"phase = {phase}"
 
 
+def test_charge_phase_of_a_nearly_cancelling_surd(capsys, tmp_path):
+    # t is a Pell unit 1/(a + b sqrt3), about 1e-12: Z = 2it lies on the
+    # imaginary axis, and the float of a - b sqrt3 must not round to 0
+    cfg = tmp_path / "pell.json"
+    cfg.write_text(json.dumps({"context": {"g": 2, "n": "2"}, "charge": {
+        "k": 2, "b": "0", "t": "512706121226-296011017105*sqrt3"}}), encoding="utf-8")
+    rc, out, err = run(capsys, ["charge", "--config", str(cfg), "--class=0,1,0"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[3] == "phase = 0.5"
+
+
 def test_charge_fractional_chi_advisory(capsys, tmp_path):
     cfg = tmp_path / "frac.json"
     cfg.write_text(

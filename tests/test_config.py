@@ -202,6 +202,11 @@ def test_scan_from_errors():
         scan_from(scan_block(b_range=["-2"]), ctx)
     with pytest.raises(ConfigError, match="scan.t_range:"):
         scan_from(scan_block(t_range=["1/100", "two"]), ctx)
+    # range ends are exact leaves, read like every other one
+    with pytest.raises(ConfigError, match="^scan.b_range: want a rational string, got True$"):
+        scan_from(scan_block(b_range=[True, "2"]), ctx)
+    with pytest.raises(ConfigError, match="^scan.t_range: want a rational string, got 0.5$"):
+        scan_from(scan_block(t_range=["1/100", 0.5]), ctx)
     with pytest.raises(ConfigError, match="scan.resolution"):
         scan_from(scan_block(resolution=[9]), ctx)
     with pytest.raises(ConfigError, match="scan.v"):

@@ -8,7 +8,6 @@ from abelfm.literals import (
     format_class,
     format_rational,
     format_rational_frac,
-    format_surd,
     parse_class_coeffs,
     parse_polar,
     parse_rational,
@@ -54,7 +53,7 @@ def test_format_rational_shapes():
 )
 def test_parse_surd(text, val):
     assert parse_surd(text) == val
-    assert parse_surd(format_surd(val)) == val
+    assert parse_surd(str(val)) == val
 
 
 def test_parse_surd_rejects():

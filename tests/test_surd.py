@@ -2,12 +2,14 @@
 
 import copy
 import math
+import operator
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from abelfm.lattice import AbelianContext, CohClass
 from abelfm.surd import (
     PolarScalar,
     Q3,
@@ -207,6 +209,124 @@ def test_surd_complex_mul_div_match_fraction_pairs(a, b, c, d):
     quo = z / w
     assert (as_pair(quo.re), as_pair(quo.im)) == (ref_div(nre, n2), ref_div(nim, n2))
     assert quo * w == z
+
+
+# One model for every exact operator: an element of Q(sqrt3) is a
+# (Fraction, Fraction) pair, a complex one a pair of those, a class a tuple
+# of Fractions.  Operands mix int, Fraction and Q3 on either side.
+
+CTX = AbelianContext(2, Fraction(3))
+ZERO = (Fraction(0), Fraction(0))
+operands = st.one_of(st.integers(-(10**30), 10**30), big_fractions, pairs.map(lambda x: Q3(*x)))
+complex_operands = st.one_of(operands, st.tuples(pairs, pairs).map(lambda z: SurdComplex(Q3(*z[0]), Q3(*z[1]))))
+
+
+def model(v):
+    """The model of an int, Fraction, Q3 or SurdComplex value."""
+    if isinstance(v, SurdComplex):
+        return (model(v.re), model(v.im))
+    return (v.r, v.s) if isinstance(v, Q3) else (Fraction(v), Fraction(0))
+
+
+def padd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def psub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def cmodel(v):
+    m = model(v)
+    return m if isinstance(v, SurdComplex) else (m, ZERO)
+
+
+def cmul(z, w):
+    return (psub(ref_mul(z[0], w[0]), ref_mul(z[1], w[1])), padd(ref_mul(z[0], w[1]), ref_mul(z[1], w[0])))
+
+
+def cdiv(z, w):
+    n2 = padd(ref_mul(w[0], w[0]), ref_mul(w[1], w[1]))
+    num = cmul(z, (w[0], (-w[1][0], -w[1][1])))
+    return (ref_div(num[0], n2), ref_div(num[1], n2))
+
+
+def pell_reference(q):
+    """float(q) for q = (a + b sqrt3)/d, rounded once from 2^k (a + b sqrt3)
+    with k so large that the isqrt truncation cannot reach the last bit."""
+    a, b, d = q._abd
+    k = 4 * max(a.bit_length(), b.bit_length()) + 256
+    root = math.isqrt(3 * b * b << 2 * k)
+    return ((a << k) + (root if b > 0 else -root)) / (d << k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs, pairs, operands, complex_operands, st.lists(big_fractions, min_size=6, max_size=6),
+       st.one_of(st.integers(), big_fractions), st.integers(0, 40), st.sampled_from([1, -1]))
+def test_exact_operators_match_the_fraction_pair_model(x, x2, v, w, coeffs, lam, n, sign):
+    ops = {
+        "+": (operator.add, padd, lambda z, u: (padd(z[0], u[0]), padd(z[1], u[1]))),
+        "-": (operator.sub, psub, lambda z, u: (psub(z[0], u[0]), psub(z[1], u[1]))),
+        "*": (operator.mul, ref_mul, cmul),
+        "/": (operator.truediv, ref_div, cdiv),
+    }
+    # Q3 against int, Fraction or Q3, in both orders
+    q, y = Q3(*x), model(v)
+    for left, right, lm, rm in ((q, v, x, y), (v, q, y, x)):
+        for name, (op, ref, _) in ops.items():
+            if name == "/" and rm == ZERO:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            got = op(left, right)
+            assert type(got) is Q3 and model(got) == ref(lm, rm)
+        diff = ref_sign(psub(lm, rm))
+        assert (left == right, left != right) == (diff == 0, diff != 0)
+        assert (left < right, left <= right) == (diff < 0, diff <= 0)
+        assert (left > right, left >= right) == (diff > 0, diff >= 0)
+    # SurdComplex against SurdComplex or a real operand, in both orders
+    z, zw = SurdComplex(q, Q3(*x2)), cmodel(w)
+    for left, right, lm, rm in ((z, w, cmodel(z), zw), (w, z, zw, cmodel(z))):
+        for name, (op, _, ref) in ops.items():
+            if name == "/" and rm == (ZERO, ZERO):
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            got = op(left, right)
+            assert type(got) is SurdComplex and model(got) == ref(lm, rm)
+        assert (left == right) == (lm == rm)
+    # CohClass: + and - with a class, * with an int or Fraction, in both orders
+    e, f = CohClass(CTX, coeffs[:3]), CohClass(CTX, coeffs[3:])
+    assert (e + f).c == tuple(a + b for a, b in zip(coeffs[:3], coeffs[3:]))
+    assert (e - f).c == tuple(a - b for a, b in zip(coeffs[:3], coeffs[3:]))
+    assert (e - f) + f == e and ((e == f) == (coeffs[:3] == coeffs[3:]))
+    assert (e * lam).c == (lam * e).c == tuple(lam * a for a in coeffs[:3])
+    # equal int, Fraction, Q3 and SurdComplex values hash alike
+    r = x[0]
+    same = [r, Q3(r), SurdComplex(r), SurdComplex(Q3(r), 0)] + ([int(r)] if r.denominator == 1 else [])
+    assert len({hash(a) for a in same}) == 1 and len(set(same)) == 1
+    assert {r: "x"}.get(SurdComplex(r)) == "x"
+    assert hash(SurdComplex(q)) == hash(q) and SurdComplex(q) == q
+    # float, str and bool operands are refused
+    for bad in (0.5, "1", True):
+        for exact in (q, z, e):
+            for op, _, _ in ops.values():
+                with pytest.raises(TypeError):
+                    op(exact, bad)
+                with pytest.raises(TypeError):
+                    op(bad, exact)
+            assert not exact == bad
+        for cmp in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                cmp(q, bad)
+            with pytest.raises(TypeError):
+                cmp(bad, q)
+    # float of a Pell unit (2 + sign*sqrt3)^n: within one ulp, even at (2 - sqrt3)^40
+    u = Q3(1)
+    for _ in range(n):
+        u = u * Q3(2, sign)
+    want = pell_reference(u)
+    assert want > 0 and abs(float(u) - want) <= math.ulp(want)
 
 
 def test_q3_is_canonical_and_immutable():
