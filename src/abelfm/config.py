@@ -11,7 +11,8 @@ Blocks, all optional unless a verb needs them:
                 "resolution": [200, 200]}
 
 Every numeric leaf is an exact rational string; nothing in a config is ever
-parsed as a float.
+parsed as a float.  A bad leaf is named <block>.<key>, and a rule that spans
+the leaves of one block is named <block>.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def _exact(val, where: str, parse=parse_rational):
+def _exact(val, field: str, parse=parse_rational):
     """An exact leaf: a plain JSON integer, or a string read by parse."""
     if isinstance(val, int) and not isinstance(val, bool):
         return Fraction(val)
@@ -77,89 +78,97 @@ def _exact(val, where: str, parse=parse_rational):
         try:
             return parse(val)
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: want a rational string, got {val!r}")
+            raise ConfigError(f"{field}: {exc}") from None
+    raise ConfigError(f"{field}: want a rational string, got {val!r}")
 
 
-def _rat(block: dict, key: str, where: str, parse=parse_rational):
-    return _exact(_need(block, key, where), f"{where}.{key}", parse)
-
-
-def _int(block: dict, key: str, where: str) -> int:
-    val = _need(block, key, where)
+def _int(val, field: str) -> int:
     if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{where}.{key}: want an integer, got {val!r}")
+        raise ConfigError(f"{field}: want an integer, got {val!r}")
     return val
 
 
-def _str(block: dict, key: str, where: str, default: str) -> str:
+def _class(text, field: str, ctx: AbelianContext) -> CohClass:
+    if not isinstance(text, str):
+        raise ConfigError(f"{field}: want a class literal string, got {text!r}")
+    try:
+        return CohClass(ctx, tuple(parse_class_coeffs(text)))
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
+def _leaf(block: dict, key: str, where: str, read=_exact, **kw):
+    """The leaf at key, read and named <where>.<key> by read."""
+    return read(_need(block, key, where), f"{where}.{key}", **kw)
+
+
+def _pair(block: dict, key: str, read=_exact) -> tuple:
+    pair = _need(block, key, "scan")
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError(f"scan.{key}: want a two-element list")
+    return tuple(read(val, f"scan.{key}") for val in pair)
+
+
+def _label(block: dict, key: str, where: str, default: str) -> str:
     val = block.get(key, default)
     if not isinstance(val, str):
         raise ConfigError(f"{where}.{key}: want a string, got {val!r}")
+    if not val.isprintable():
+        raise ConfigError(f"{where}.{key}: want one printable line, got {val!r}")
     return val
 
 
-def _dim(g: int, where: str) -> int:
+def _dim(block: dict, where: str) -> int:
+    g = _leaf(block, "g", where, _int)
     if g > MAX_G:
         raise ConfigError(f"{where}.g: {g} exceeds the limit of {MAX_G}")
     return g
 
 
+def _build(where: str, make, *args):
+    """make(*args), with a domain error that spans the block named <where>."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def context_from(cfg: dict) -> AbelianContext:
     block = _block(cfg, "context")
-    try:
-        label = _str(block, "label", "context", "")
-        ctx = AbelianContext(_int(block, "g", "context"), _rat(block, "n", "context"), label)
-    except ValueError as exc:
-        raise ConfigError(f"context: {exc}") from None
-    _dim(ctx.g, "context")
-    return ctx
+    return _build(
+        "context", AbelianContext,
+        _dim(block, "context"), _leaf(block, "n", "context"), _label(block, "label", "context", ""),
+    )
 
 
 def transform_from(cfg: dict) -> FMTransformSpec:
     from .transform import FMTransformSpec
     block = _block(cfg, "transform")
-    g = _dim(_int(block, "g", "transform"), "transform")
-    try:
-        src = AbelianContext(
-            g, _rat(block, "nX", "transform"), _str(block, "labelX", "transform", "X")
+    g = _dim(block, "transform")
+    src, dst = (
+        _build(
+            "transform", AbelianContext, g,
+            _leaf(block, f"n{side}", "transform"), _label(block, f"label{side}", "transform", side),
         )
-        dst = AbelianContext(
-            g, _rat(block, "nY", "transform"), _str(block, "labelY", "transform", "Y")
-        )
-        return FMTransformSpec(
-            src=src,
-            dst=dst,
-            r=_int(block, "r", "transform"),
-            d_x=_rat(block, "dX", "transform"),
-            d_y=_rat(block, "dY", "transform"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"transform: {exc}") from None
+        for side in "XY"
+    )
+    return _build(
+        "transform", FMTransformSpec,
+        src, dst, _leaf(block, "r", "transform", _int),
+        _leaf(block, "dX", "transform"), _leaf(block, "dY", "transform"),
+    )
 
 
 def charge_from(cfg: dict, ctx: AbelianContext, k_override: int | None = None) -> ChargeSpec:
     from .stability import ChargeSpec
     block = _block(cfg, "charge")
-    k = k_override if k_override is not None else _int(block, "k", "charge")
-    try:
-        t = _rat(block, "t", "charge", parse_surd)
-        return ChargeSpec(ctx, k, _rat(block, "b", "charge"), t)
-    except ValueError as exc:
-        raise ConfigError(f"charge: {exc}") from None
-
-
-def _class(ctx: AbelianContext, text, where: str) -> CohClass:
-    if not isinstance(text, str):
-        raise ConfigError(f"{where}: want a class literal string, got {text!r}")
-    try:
-        return CohClass(ctx, tuple(parse_class_coeffs(text)))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    k = k_override if k_override is not None else _leaf(block, "k", "charge", _int)
+    t = _leaf(block, "t", "charge", parse=parse_surd)
+    return _build("charge", ChargeSpec, ctx, k, _leaf(block, "b", "charge"), t)
 
 
 def class_from(ctx: AbelianContext, text: str) -> CohClass:
-    return _class(ctx, text, "class")
+    return _class(text, "class", ctx)
 
 
 def scan_from(cfg: dict, ctx: AbelianContext) -> ScanRequest:
@@ -172,29 +181,16 @@ def scan_from(cfg: dict, ctx: AbelianContext) -> ScanRequest:
         raise ConfigError(
             f"scan.walls: {len(walls_raw)} wall classes exceeds the limit of {MAX_WALLS}"
         )
-    rng = {}
-    for key in ("b_range", "t_range"):
-        pair = _need(block, key, "scan")
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"scan.{key}: want a two-element list")
-        rng[key] = (_exact(pair[0], f"scan.{key}"), _exact(pair[1], f"scan.{key}"))
-    res = _need(block, "resolution", "scan")
-    if not (isinstance(res, list) and len(res) == 2):
-        raise ConfigError("scan.resolution: want a two-element list")
-    for n in res:
-        if isinstance(n, int) and n > MAX_RESOLUTION:
+    b_range, t_range = _pair(block, "b_range"), _pair(block, "t_range")
+    resolution = _pair(block, "resolution", _int)
+    for n in resolution:
+        if n > MAX_RESOLUTION:
             raise ConfigError(
                 f"scan.resolution: {n} points exceeds the limit of {MAX_RESOLUTION} per axis"
             )
-    try:
-        return ScanRequest(
-            ctx=ctx,
-            k=_int(block, "k", "scan"),
-            v=_class(ctx, _need(block, "v", "scan"), "scan.v"),
-            walls=tuple(_class(ctx, w, f"scan.walls[{i}]") for i, w in enumerate(walls_raw)),
-            b_range=rng["b_range"],
-            t_range=rng["t_range"],
-            resolution=(res[0], res[1]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scan: {exc}") from None
+    return _build(
+        "scan", ScanRequest,
+        ctx, _leaf(block, "k", "scan", _int), _leaf(block, "v", "scan", _class, ctx=ctx),
+        tuple(_class(w, f"scan.walls[{i}]", ctx) for i, w in enumerate(walls_raw)),
+        b_range, t_range, resolution,
+    )

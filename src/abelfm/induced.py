@@ -115,6 +115,8 @@ def conjecture_params(
     Applying this to the quasi-inverse with k -> g-k and lam -> 1/lam
     exchanges the two sides exactly."""
     g = spec.g
+    if g < 2:  # no angle k*pi/g with 1 <= k <= g-1
+        raise ValueError(f"matched parameters need g >= 2, got g = {g}")
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g - 1:
         raise ValueError(f"angle index k must lie in 1..{g - 1}, got {k!r}")
     lam = as_fraction(lam)

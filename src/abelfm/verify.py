@@ -13,7 +13,7 @@ under its suite in _SUITE_CHECKS; run_verify reports it as <suite>.<name>.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -50,17 +50,21 @@ def _rand_class(rng: random.Random, ctx: AbelianContext) -> CohClass:
     return CohClass(ctx, tuple(_rand_rat(rng) for _ in range(ctx.g + 1)))
 
 
+def _spec(g: int, n_x, r: int = 1, d_x=0, d_y=0) -> transform.FMTransformSpec:
+    """The X -> Y spec whose n_Y = (g!)^2 / (r^2 n_X) obeys the reciprocity."""
+    return transform.FMTransformSpec(
+        src=AbelianContext(g, n_x, "X"),
+        dst=AbelianContext(g, Fraction(factorial(g)) ** 2 / (r * r * n_x), "Y"),
+        r=r,
+        d_x=d_x,
+        d_y=d_y,
+    )
+
+
 def _rand_spec(rng: random.Random, g: int) -> transform.FMTransformSpec:
     r = rng.randint(1, 4)
     n_x = _rand_pos(rng)
-    n_y = Fraction(factorial(g)) ** 2 / (r * r * n_x)
-    return transform.FMTransformSpec(
-        src=AbelianContext(g, n_x, "X"),
-        dst=AbelianContext(g, n_y, "Y"),
-        r=r,
-        d_x=_rand_rat(rng),
-        d_y=_rand_rat(rng),
-    )
+    return _spec(g, n_x, r, _rand_rat(rng), _rand_rat(rng))
 
 
 # ---------------------------------------------------------------- lattice --
@@ -196,13 +200,7 @@ def _check_reciprocity_guard() -> tuple[str, str]:
         if bad == spec.dst.n:
             bad = spec.dst.n * 2
         try:
-            transform.FMTransformSpec(
-                src=spec.src,
-                dst=AbelianContext(g, bad, "Y"),
-                r=spec.r,
-                d_x=spec.d_x,
-                d_y=spec.d_y,
-            )
+            replace(spec, dst=AbelianContext(g, bad, "Y"))
             return "FAIL", f"case {case}: accepted bad n_Y"
         except transform.InvalidSpecError:
             pass
@@ -242,12 +240,7 @@ def _check_composition_sign() -> tuple[str, str]:
 def _check_poincare_images() -> tuple[str, str]:
     for g in range(1, 6):
         for n_x in (Fraction(1), Fraction(factorial(g)), Fraction(2), Fraction(3, 2)):
-            n_y = Fraction(factorial(g)) ** 2 / n_x
-            spec = transform.FMTransformSpec(
-                src=AbelianContext(g, n_x, "X"),
-                dst=AbelianContext(g, n_y, "Y"),
-                r=1,
-            )
+            spec = _spec(g, n_x)
             for i, e in enumerate(lattice.divided_power_basis(spec.src)):
                 img = transform.apply(spec, e)
                 want = [Fraction(0)] * (g + 1)
@@ -313,12 +306,7 @@ def _check_gamma_scalars() -> tuple[str, str]:
 
 def _check_zeta_reality() -> tuple[str, str]:
     for g in range(1, 7):
-        n_x = Fraction(factorial(g))
-        spec = transform.FMTransformSpec(
-            src=AbelianContext(g, n_x, "X"),
-            dst=AbelianContext(g, Fraction(factorial(g)), "Y"),
-            r=1,
-        )
+        spec = _spec(g, factorial(g))
         for q in range(1, 9):
             for p in range(-q, q + 1):
                 if Fraction(p, q) == 0:
@@ -335,33 +323,15 @@ def _check_zeta_reality() -> tuple[str, str]:
 
 
 def _law_specs(g: int) -> list[transform.FMTransformSpec]:
-    fact2 = Fraction(factorial(g)) ** 2
-    specs = [
-        transform.FMTransformSpec(
-            src=AbelianContext(g, Fraction(factorial(g)), "X"),
-            dst=AbelianContext(g, Fraction(factorial(g)), "Y"),
-            r=1,
-        )
-    ]
     picks = [
-        (2, Fraction(1), Fraction(1, 2), Fraction(-1, 3)),
-        (2, Fraction(1, 2), Fraction(-2), Fraction(3, 4)),
-        (3, Fraction(2), Fraction(1, 3), Fraction(1, 5)),
-        (3, Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)),
-        (4, Fraction(3), Fraction(5, 2), Fraction(-1, 7)),
-        (2, Fraction(3, 2), Fraction(-4, 3), Fraction(5, 6)),
+        (Fraction(1), 2, Fraction(1, 2), Fraction(-1, 3)),
+        (Fraction(1, 2), 2, Fraction(-2), Fraction(3, 4)),
+        (Fraction(2), 3, Fraction(1, 3), Fraction(1, 5)),
+        (Fraction(1, 2), 3, Fraction(-1, 2), Fraction(-2, 3)),
+        (Fraction(3), 4, Fraction(5, 2), Fraction(-1, 7)),
+        (Fraction(3, 2), 2, Fraction(-4, 3), Fraction(5, 6)),
     ]
-    for r, n_x, d_x, d_y in picks:
-        specs.append(
-            transform.FMTransformSpec(
-                src=AbelianContext(g, n_x, "X"),
-                dst=AbelianContext(g, fact2 / (r * r * n_x), "Y"),
-                r=r,
-                d_x=d_x,
-                d_y=d_y,
-            )
-        )
-    return specs
+    return [_spec(g, factorial(g))] + [_spec(g, *pick) for pick in picks]
 
 
 def _check_induced_identity() -> tuple[str, str]:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelfm
 from abelfm.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -332,6 +333,11 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().splitlines()[-1].startswith("ok: ")
+    # the distribution is named and versioned as the package
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^name\s*=\s*"abelfm"\s*$', project, re.M)
+    version = re.search(r'^version\s*=\s*"([^"]+)"\s*$', project, re.M)
+    assert version and version.group(1) == abelfm.__version__
 
 
 def test_python_dash_m_help():
@@ -383,6 +389,8 @@ CHARGE_CFG = {
         pytest.param(("context", "label"), 1.5, "1,0,0", id="label-float"),
         pytest.param(("context", "label"), [1], "1,0,0", id="label-list"),
         pytest.param(("context", "label"), True, "1,0,0", id="label-bool"),
+        # a label that is not one printable line would forge stderr lines
+        pytest.param(("context", "label"), "X\nerror: fake", "1,0,0", id="label-newline"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, leaf, value, cls):
@@ -416,11 +424,82 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, 
     if leaf == "huge-class":
         assert err.startswith("error: class: ")
     if value == "9" * 5000:
-        assert err.startswith("error: charge: charge.b: ")
+        assert err.startswith("error: charge.b: ")
     if leaf == ("context", "label"):
-        assert err == f"error: context: context.label: want a string, got {value!r}\n"
+        want = "one printable line" if isinstance(value, str) else "a string"
+        assert err == f"error: context.label: want {want}, got {value!r}\n"
     if (leaf, value) == (("context", "n"), "1"):  # chi = 1/2: the error, not the advisory
         assert err.startswith("error: class: ")
+
+
+# one valid config holding every block; each verb reads the blocks it needs
+LEAF_CFG = {
+    "context": {"g": 2, "n": "2", "label": "X"},
+    "transform": {"g": 2, "nX": "2", "nY": "2", "r": 1, "dX": "0", "dY": "0",
+                  "labelX": "X", "labelY": "Y"},
+    "charge": {"k": 2, "b": "0", "t": "1"},
+    "scan": {"k": 2, "v": "1,0,0", "walls": ["0,0,1/2"], "b_range": ["-2", "2"],
+             "t_range": ["1/100", "2"], "resolution": [9, 9]},
+}
+LEAF_ARGV = {
+    "context": ["charge", "--class", "1,0,0"],
+    "transform": ["transform", "--class", "1,0,0"],
+    "charge": ["charge", "--class", "1,0,0"],
+    "scan": ["walls"],
+}
+BAD_LEAF = {"str-int": "2", "float": 1.5, "bool": True, "list": [1], "x": "x", "zero-den": "1/0",
+            "huge": "9" * 5000}
+BAD_BY_KIND = {
+    "int": BAD_LEAF,
+    "pair": BAD_LEAF,
+    "rational": {k: v for k, v in BAD_LEAF.items() if k != "str-int"},
+    "class": {k: v for k, v in BAD_LEAF.items() if k != "str-int"},
+    "label": {"float": 1.5, "bool": True, "list": [1], "newline": "X\nerror: fake"},
+}
+CONFIG_LEAVES = [  # (path into LEAF_CFG, kind of leaf)
+    (("context", "g"), "int"), (("context", "n"), "rational"), (("context", "label"), "label"),
+    (("transform", "g"), "int"), (("transform", "nX"), "rational"),
+    (("transform", "nY"), "rational"), (("transform", "r"), "int"),
+    (("transform", "dX"), "rational"), (("transform", "dY"), "rational"),
+    (("transform", "labelX"), "label"), (("transform", "labelY"), "label"),
+    (("charge", "k"), "int"), (("charge", "b"), "rational"), (("charge", "t"), "rational"),
+    (("scan", "k"), "int"), (("scan", "v"), "class"), (("scan", "walls", 0), "class"),
+    (("scan", "b_range"), "pair"), (("scan", "b_range", 1), "rational"),
+    (("scan", "t_range"), "pair"), (("scan", "t_range", 1), "rational"),
+    (("scan", "resolution"), "pair"), (("scan", "resolution", 1), "int"),
+]
+
+
+def _leaf_field(path) -> str:
+    """The field an error names: scan.walls[0] for a wall, scan.b_range for
+    either end of a range."""
+    block, key, *index = path
+    return f"{block}.{key}" + (f"[{index[0]}]" if key == "walls" else "")
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        pytest.param(path, value, id=f"{'.'.join(map(str, path))}-{name}")
+        for path, kind in CONFIG_LEAVES
+        for name, value in BAD_BY_KIND[kind].items()
+    ],
+)
+def test_bad_config_leaf_is_named_once(capsys, tmp_path, int_str_limit, path, value):
+    cfg = json.loads(json.dumps(LEAF_CFG))
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    verb, *extra = LEAF_ARGV[path[0]]
+    rc, out, err = run(capsys, [verb, "--config", str(cfg_path)] + extra)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {_leaf_field(path)}: "), err[:200]
+    assert err.count(path[0]) == 1, err[:200]
 
 
 @pytest.mark.parametrize(

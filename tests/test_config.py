@@ -78,7 +78,7 @@ def test_context_from_errors():
         context_from({"context": {"g": 2, "n": 2.0}})
     with pytest.raises(ConfigError, match="context.n"):
         context_from({"context": {"g": 2, "n": "2/0"}})
-    with pytest.raises(ConfigError, match=r"^context: context\.label: want a string, got 1\.5$"):
+    with pytest.raises(ConfigError, match=r"^context\.label: want a string, got 1\.5$"):
         context_from({"context": {"g": 2, "n": "2", "label": 1.5}})
     # domain validation is reported under the block name
     with pytest.raises(ConfigError, match="context:"):
@@ -107,7 +107,7 @@ def test_transform_from():
 @pytest.mark.parametrize("key", ["labelX", "labelY"])
 @pytest.mark.parametrize("value", [1, None, ["X"]])
 def test_transform_from_rejects_a_non_string_label(key, value):
-    with pytest.raises(ConfigError, match=rf"^transform: transform\.{key}: want a string, got "):
+    with pytest.raises(ConfigError, match=rf"^transform\.{key}: want a string, got "):
         transform_from({"transform": dict(TRANSFORM, **{key: value})})
 
 
@@ -137,7 +137,7 @@ def test_charge_from_k_override():
 
 def test_charge_from_errors():
     ctx = AbelianContext(2, F(2), "X")
-    with pytest.raises(ConfigError, match="charge:"):
+    with pytest.raises(ConfigError, match=r"^charge\.t: "):
         charge_from({"charge": {"k": 2, "b": "0", "t": "x"}}, ctx)
     with pytest.raises(ConfigError, match="charge:"):
         charge_from({"charge": {"k": 2, "b": "0", "t": "-1"}}, ctx)

@@ -167,6 +167,9 @@ def test_conjecture_params_validation():
         conjecture_params(spec, 1, F(0))
     with pytest.raises(ValueError):
         conjecture_params(spec, 1, F(-1))
+    curve = FMTransformSpec(src=AbelianContext(1, F(1), "X"), dst=AbelianContext(1, F(1), "Y"), r=1)
+    with pytest.raises(ValueError, match=r"^matched parameters need g >= 2, got g = 1$"):
+        conjecture_params(curve, 1, F(1))
 
 
 def test_conjecture_params_duality():
