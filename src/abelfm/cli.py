@@ -4,9 +4,9 @@ Verbs: transform, charge, zeta, params, walls, verify.  All but verify read
 a JSON config file; verb-specific flags supply the remaining inputs.  A flag
 value may start with "-" in either form, "--class -1,0,0" or
 "--class=-1,0,0".  Exit statuses: 0 success, 1 verification failure, 2 usage
-or config error, 3 I/O error; every usage or config error is one "error: "
-line on stderr.  A verb's stdout is written only once the verb has finished,
-so a failing verb prints nothing there.  The only environment override is
+or config error (one "error: " line on stderr), 3 I/O error; a bug raises.
+A verb's stdout is written only once the verb has finished, so a failing
+verb prints nothing there.  The only environment override is
 ABELFM_OUT_DIR, which redirects relative --out paths.
 """
 
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (config.ConfigError, ValueError, TypeError) as exc:
+    except ValueError as exc:  # ConfigError is one
         print(f"error: {_error_text(args.verb, exc)}", file=sys.stderr)
         return 2
     sys.stdout.write(out.getvalue())
@@ -312,7 +312,7 @@ def _error_text(verb: str, exc: Exception) -> str:
     from; a bare text comes from a flag or a result, named by the verb."""
     text = str(exc)
     m = _INT_STR_LIMIT.search(text)
-    if isinstance(exc, ValueError) and m:
+    if m:
         where = text[: m.start()].rstrip(" (:") or verb
         what = "an input" if m.group(1) else "a result"
         return (

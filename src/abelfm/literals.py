@@ -5,7 +5,8 @@ Rationals are written "p/q" with q > 0, or with the integer shorthand "p".
 Surds add an optional "*sqrt3" term, as in "1/2", "3*sqrt3", "sqrt3" or
 "1/2-3/4*sqrt3".  Classes are comma-separated coefficient lists such as
 "1,1,1/2".  Polar scalars are "modulus@angle" with the angle measured in
-multiples of pi, for example "2@1/3".
+multiples of pi, for example "2@1/3".  A rational or surd literal may
+carry whitespace at its ends, never inside.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ def format_rational_frac(x: Fraction) -> str:
 
 
 def parse_surd(text: str) -> Q3:
-    t = text.strip().replace(" ", "")
+    t = text.strip()
     if "sqrt3" not in t:
         return Q3(parse_rational(t))
     if t.endswith("sqrt3") and t[-6:-5] in ("", "+", "-"):
         t = t[:-5] + "1*sqrt3"  # bare sqrt3 means coefficient 1
-    if not t.endswith("*sqrt3"):
+    if not t.endswith("*sqrt3") or len(t.split()) > 1:  # whitespace inside
         raise ValueError(f"bad surd literal {text!r}")
     body = t[: -len("*sqrt3")]
     cut = max(body.rfind("+"), body.rfind("-"))

@@ -8,6 +8,12 @@ which are easy to get wrong silently when conventions drift).
 
 A check is a function _check_<name> returning (status, detail), listed
 under its suite in _SUITE_CHECKS; run_verify reports it as <suite>.<name>.
+A check states each property as _expect(holds, prop, **witness); the first
+that fails ends the check as "FAIL <suite>.<name>: <prop> fails at
+<witness>", the witness being every value the property read as key=value
+pairs joined by "; " in the config and literal grammar (see _fields), so it
+replays through config and the public API.  A check that raises is reported
+as "FAIL <suite>.<name>: raised <Type>: <message>".
 """
 
 from __future__ import annotations
@@ -32,6 +38,35 @@ class CheckResult:
 
     def line(self) -> str:
         return f"{self.status} {self.name}" + (f": {self.detail}" if self.detail else "")
+
+
+def _fields(key: str, val) -> dict:
+    """The witness entries of one value: a context, transform or charge by
+    its config fields, anything else as key=str(value)."""
+    if isinstance(val, AbelianContext):
+        return {"g": val.g, "n": val.n}
+    if isinstance(val, transform.FMTransformSpec):
+        return {"g": val.g, "nX": val.src.n, "nY": val.dst.n, "r": val.r,
+                "dX": val.d_x, "dY": val.d_y}
+    if isinstance(val, stability.ChargeSpec):
+        return {"g": val.ctx.g, "n": val.ctx.n, "k": val.k, "b": val.b, "t": val.t}
+    return {key: val}
+
+
+class _Failed(Exception):
+    """A property that does not hold, with the values it read."""
+
+    def __str__(self) -> str:
+        prop, witness = self.args
+        entries = {}  # a later key replaces an earlier one in place
+        for key, val in witness.items():
+            entries.update(_fields(key, val))
+        return f"{prop} fails at " + "; ".join(f"{k}={v}" for k, v in entries.items())
+
+
+def _expect(holds: bool, prop: str, **witness) -> None:
+    if not holds:
+        raise _Failed(prop, witness)
 
 
 def _rng(tag: str) -> random.Random:
@@ -76,14 +111,13 @@ def _check_ring_laws() -> tuple[str, str]:
         ctx = AbelianContext(g, _rand_pos(rng))
         for _ in range(8):
             a, b, c = (_rand_class(rng, ctx) for _ in range(3))
-            if lattice.mul(lattice.mul(a, b), c) != lattice.mul(a, lattice.mul(b, c)):
-                return "FAIL", f"associativity broke at g={g}"
-            if lattice.mul(a, b) != lattice.mul(b, a):
-                return "FAIL", f"commutativity broke at g={g}"
-            if lattice.mul(a, b + c) != lattice.mul(a, b) + lattice.mul(a, c):
-                return "FAIL", f"distributivity broke at g={g}"
-            if lattice.mul(a, lattice.structure_sheaf(ctx)) != a:
-                return "FAIL", f"unit broke at g={g}"
+            ab = lattice.mul(a, b)
+            abc = lattice.mul(a, lattice.mul(b, c))
+            _expect(lattice.mul(ab, c) == abc, "(a*b)*c = a*(b*c)", ctx=ctx, a=a, b=b, c=c)
+            _expect(ab == lattice.mul(b, a), "a*b = b*a", ctx=ctx, a=a, b=b)
+            ab_ac = ab + lattice.mul(a, c)
+            _expect(lattice.mul(a, b + c) == ab_ac, "a*(b+c) = a*b+a*c", ctx=ctx, a=a, b=b, c=c)
+            _expect(lattice.mul(a, lattice.structure_sheaf(ctx)) == a, "a*1 = a", ctx=ctx, a=a)
     return "PASS", "assoc, comm, distrib, unit on random classes g<=5"
 
 
@@ -94,10 +128,9 @@ def _check_twist_action() -> tuple[str, str]:
         for _ in range(8):
             a = _rand_class(rng, ctx)
             b1, b2 = _rand_rat(rng), _rand_rat(rng)
-            if lattice.twist(lattice.twist(a, b1), b2) != lattice.twist(a, b1 + b2):
-                return "FAIL", f"composition broke at g={g}"
-            if lattice.twist(a, 0) != a:
-                return "FAIL", f"identity broke at g={g}"
+            _expect(lattice.twist(lattice.twist(a, b1), b2) == lattice.twist(a, b1 + b2),
+                    "twist(twist(a, b1), b2) = twist(a, b1+b2)", ctx=ctx, a=a, b1=b1, b2=b2)
+            _expect(lattice.twist(a, 0) == a, "twist(a, 0) = a", ctx=ctx, a=a)
     return "PASS", "twists compose additively and fix b=0"
 
 
@@ -108,14 +141,12 @@ def _check_pairing_bilinear() -> tuple[str, str]:
         for _ in range(8):
             a, b, c = (_rand_class(rng, ctx) for _ in range(3))
             q = _rand_rat(rng)
-            lhs = lattice.mukai_pairing(a + b.scale(q), c)
-            rhs = lattice.mukai_pairing(a, c) + q * lattice.mukai_pairing(b, c)
-            if lhs != rhs:
-                return "FAIL", f"first slot broke at g={g}"
-            lhs = lattice.mukai_pairing(c, a + b.scale(q))
-            rhs = lattice.mukai_pairing(c, a) + q * lattice.mukai_pairing(c, b)
-            if lhs != rhs:
-                return "FAIL", f"second slot broke at g={g}"
+            _expect(lattice.mukai_pairing(a + b.scale(q), c)
+                    == lattice.mukai_pairing(a, c) + q * lattice.mukai_pairing(b, c),
+                    "<a + q*b, c> = <a, c> + q*<b, c>", ctx=ctx, a=a, b=b, c=c, q=q)
+            _expect(lattice.mukai_pairing(c, a + b.scale(q))
+                    == lattice.mukai_pairing(c, a) + q * lattice.mukai_pairing(c, b),
+                    "<c, a + q*b> = <c, a> + q*<c, b>", ctx=ctx, a=a, b=b, c=c, q=q)
     return "PASS", "bilinear in both slots"
 
 
@@ -149,10 +180,8 @@ def _check_chi_advisory() -> tuple[str, str]:
     ]
     for ctx, silent in cases:
         note = lattice.chi_advisory(ctx)
-        if silent and note is not None:
-            return "FAIL", f"false alarm for chi={ctx.chi}"
-        if not silent and (note is None or str(ctx.chi) not in note):
-            return "FAIL", f"missed fractional chi={ctx.chi}"
+        _expect(note is None if silent else note is not None and str(ctx.chi) in note,
+                "an advisory names chi exactly when it is fractional", ctx=ctx)
     return "PASS", "flags fractional n/g!, silent on integers"
 
 
@@ -164,13 +193,11 @@ def _check_vvector_roundtrip() -> tuple[str, str]:
             a = _rand_class(rng, ctx)
             b = _rand_rat(rng)
             vv = lattice.v_vector(a, b)
-            if lattice.from_v_vector(vv) != a:
-                return "FAIL", f"broke at g={g}, b={b}"
-            if any(
-                vv.v[i] != factorial(i) * ctx.n * lattice.twist(a, b).c[i]
-                for i in range(g + 1)
-            ):
-                return "FAIL", f"scaling broke at g={g}"
+            _expect(lattice.from_v_vector(vv) == a, "from_v_vector(v_vector(a, b)) = a",
+                    ctx=ctx, a=a, b=b)
+            tw = lattice.twist(a, b).c
+            _expect(all(vv.v[i] == factorial(i) * ctx.n * tw[i] for i in range(g + 1)),
+                    "v_vector(a, b)_i = i! n twist(a, b)_i", ctx=ctx, a=a, b=b)
     return "PASS", "v_vector and from_v_vector invert exactly"
 
 
@@ -179,12 +206,11 @@ def _check_point_class() -> tuple[str, str]:
     for g in range(1, 6):
         ctx = AbelianContext(g, _rand_pos(rng))
         p = lattice.skyscraper(ctx)
-        if lattice.integrate(p) != 1:
-            return "FAIL", f"integral != 1 at g={g}"
+        _expect(lattice.integrate(p) == 1, "the point class integrates to 1", ctx=ctx)
         for _ in range(4):
             b = _rand_rat(rng)
-            if lattice.integrate(lattice.twist(p, b)) != 1:
-                return "FAIL", f"twist changed integral at g={g}"
+            _expect(lattice.integrate(lattice.twist(p, b)) == 1, "twist(point, b) integrates to 1",
+                    ctx=ctx, b=b)
     return "PASS", "point class integrates to 1 under every twist"
 
 
@@ -193,7 +219,7 @@ def _check_point_class() -> tuple[str, str]:
 
 def _check_reciprocity_guard() -> tuple[str, str]:
     rng = _rng("guard")
-    for case in range(100):
+    for _ in range(100):
         g = rng.randint(1, 5)
         spec = _rand_spec(rng, g)  # accepts by construction
         bad = spec.dst.n * Fraction(rng.randint(2, 9), rng.randint(2, 9) + 7)
@@ -201,9 +227,9 @@ def _check_reciprocity_guard() -> tuple[str, str]:
             bad = spec.dst.n * 2
         try:
             replace(spec, dst=AbelianContext(g, bad, "Y"))
-            return "FAIL", f"case {case}: accepted bad n_Y"
         except transform.InvalidSpecError:
-            pass
+            continue
+        _expect(False, "a degree pair off the reciprocity is rejected", spec=spec, nY=bad)
     return "PASS", "100 accept/reject pairs behaved"
 
 
@@ -215,10 +241,9 @@ def _check_linearity() -> tuple[str, str]:
             a = _rand_class(rng, spec.src)
             b = _rand_class(rng, spec.src)
             q = _rand_rat(rng)
-            lhs = transform.apply(spec, a + b.scale(q))
             rhs = transform.apply(spec, a) + transform.apply(spec, b).scale(q)
-            if lhs != rhs:
-                return "FAIL", f"broke at g={g}"
+            _expect(transform.apply(spec, a + b.scale(q)) == rhs,
+                    "apply(a + q*b) = apply(a) + q*apply(b)", spec=spec, a=a, b=b, q=q)
     return "PASS", "apply is exactly linear"
 
 
@@ -228,12 +253,10 @@ def _check_composition_sign() -> tuple[str, str]:
         for _ in range(20):
             spec = _rand_spec(rng, g)
             rev, shift = transform.quasi_inverse(spec)
-            if shift != g:
-                return "FAIL", f"shift {shift} != g={g}"
+            _expect(shift == g, "the quasi-inverse shift is g", spec=spec)
             for e in lattice.divided_power_basis(spec.src):
-                back = transform.apply(rev, transform.apply(spec, e))
-                if back != e.scale((-1) ** g):
-                    return "FAIL", f"g={g}, r={spec.r}: round trip is not (-1)^g id"
+                _expect(transform.apply(rev, transform.apply(spec, e)) == e.scale((-1) ** g),
+                        "reverse(apply(e)) = (-1)^g e", spec=spec, e=e)
     return "PASS", "reverse o forward = (-1)^g id, 20 specs per g<=5"
 
 
@@ -244,11 +267,9 @@ def _check_poincare_images() -> tuple[str, str]:
             for i, e in enumerate(lattice.divided_power_basis(spec.src)):
                 img = transform.apply(spec, e)
                 want = [Fraction(0)] * (g + 1)
-                want[g - i] = (
-                    (-1) ** (g - i) * (n_x / factorial(g)) / factorial(g - i)
-                )
-                if img != CohClass(spec.dst, tuple(want)):
-                    return "FAIL", f"g={g}, n_X={n_x}, basis {i}: got {img}"
+                want[g - i] = (-1) ** (g - i) * (n_x / factorial(g)) / factorial(g - i)
+                _expect(img == CohClass(spec.dst, tuple(want)),
+                        "apply(l^i/i!) = (-1)^(g-i) (n_X/g!)/(g-i)! l^(g-i)", spec=spec, e=e)
     return "PASS", "rank-one untwisted images of divided powers match the closed form"
 
 
@@ -261,8 +282,7 @@ def _check_exp_image_shape() -> tuple[str, str]:
                 img = transform.exp_image(spec, m)
                 scale = Fraction(spec.r) * spec.src.n * m**g / factorial(g)
                 want = lattice.exp_div(-1 / m, spec.dst).scale(scale)
-                if img != want:
-                    return "FAIL", f"g={g}, m={m}: got {img}, want {want}"
+                _expect(img == want, "exp_image(m) = (r n_X m^g/g!) e^(-l/m)", spec=spec, m=m)
     return "PASS", "normalized exponential images are (r n_X m^g/g!) e^(-l/m)"
 
 
@@ -273,8 +293,8 @@ def _check_adjoint_isometry() -> tuple[str, str]:
             spec = _rand_spec(rng, g)
             u = _rand_class(rng, spec.dst)
             v = _rand_class(rng, spec.src)
-            if not transform.adjoint_pairing_check(spec, u, v):
-                return "FAIL", f"failed at g={g}"
+            _expect(transform.adjoint_pairing_check(spec, u, v),
+                    "<adjoint(u), v> = <u, apply(v)>", spec=spec, u=u, v=v)
     return "PASS", "pairing isometry on random pairs, g<=3"
 
 
@@ -284,8 +304,8 @@ def _check_polarization_image() -> tuple[str, str]:
         for _ in range(6):
             spec = _rand_spec(rng, g)
             m = _rand_pos(rng)
-            if not transform.polarization_image_check(spec, m):
-                return "FAIL", f"g={g}, m={m}"
+            _expect(transform.polarization_image_check(spec, m), "the image of e^(m l) has c_1 < 0",
+                    spec=spec, m=m)
     return "PASS", "image degree-one coefficient is negative for every ample scale"
 
 
@@ -294,10 +314,9 @@ def _check_gamma_scalars() -> tuple[str, str]:
     for g in (1, 2, 3):
         spec = _rand_spec(rng, g)
         act = transform.gamma_action(spec, g)
-        if act.forward_scale != spec.r or act.composite_scale != spec.r**3:
-            return "FAIL", f"scales wrong at g={g}"
-        if act.dual_ctx.n != spec.r**2 * spec.src.n:
-            return "FAIL", f"dual degree wrong at g={g}"
+        _expect((act.forward_scale, act.composite_scale) == (spec.r, spec.r**3),
+                "the scales are r and r^3", spec=spec)
+        _expect(act.dual_ctx.n == spec.r**2 * spec.src.n, "the dual degree is r^2 n_X", spec=spec)
     return "PASS", "scales (r, r^3) and dual degree r^2 n_X"
 
 
@@ -312,13 +331,11 @@ def _check_zeta_reality() -> tuple[str, str]:
                 if Fraction(p, q) == 0:
                     continue
                 u = PolarScalar(Fraction(3, 2), Fraction(p, q))
-                z = induced.zeta(spec, u)
-                should_be_real = (Fraction(p, q) * g).denominator == 1
-                if z.is_real != should_be_real:
-                    return "FAIL", f"g={g}, angle {p}/{q}: is_real={z.is_real}"
+                _expect(induced.zeta(spec, u).is_real == ((Fraction(p, q) * g).denominator == 1),
+                        "zeta(u) is real exactly when g*angle(u) is an integer", spec=spec, u=u)
         for f in induced.real_zeta_angles(g):
-            if not induced.zeta(spec, PolarScalar(Fraction(2), f)).is_real:
-                return "FAIL", f"listed angle {f} not real at g={g}"
+            u = PolarScalar(Fraction(2), f)
+            _expect(induced.zeta(spec, u).is_real, "zeta(u) is real", spec=spec, u=u)
     return "PASS", "zeta real exactly when g*angle is an integer"
 
 
@@ -343,12 +360,8 @@ def _check_induced_identity() -> tuple[str, str]:
                 for lam in lambdas:
                     u = PolarScalar(lam, Fraction(k, g))
                     verdicts = induced.verify_induced_law(spec, u, basis)
-                    for v in verdicts:
-                        if not (v.equal and v.exact):
-                            return "FAIL", (
-                                f"g={g}, r={spec.r}, k={k}, lam={lam}, {v.label}: "
-                                f"{v.lhs} vs {v.rhs}"
-                            )
+                    for e, v in zip(basis, verdicts):
+                        _expect(v.equal and v.exact, "the transport identity", spec=spec, u=u, e=e)
     return "PASS", "charge transport holds exactly for all angle/modulus/spec combinations"
 
 
@@ -359,10 +372,10 @@ def _check_param_positivity() -> tuple[str, str]:
             for k in range(1, g):
                 for lam in lambdas:
                     om_s, om_d = (om.as_surd() for om in induced.conjecture_params(spec, k, lam))
-                    if om_s is None or om_d is None:
-                        return "FAIL", f"g={g}, k={k}: inexact components"
-                    if om_s.im.sign() <= 0 or om_d.im.sign() <= 0:
-                        return "FAIL", f"g={g}, k={k}, lam={lam}: Im <= 0"
+                    _expect(om_s is not None and om_d is not None,
+                            "both parameters lie in Q(sqrt3)[i]", spec=spec, k=k, lam=lam)
+                    _expect(om_s.im.sign() > 0 and om_d.im.sign() > 0,
+                            "both parameters have Im > 0", spec=spec, k=k, lam=lam)
     return "PASS", "both matched polarizations stay complexified"
 
 
@@ -375,8 +388,8 @@ def _check_param_duality() -> tuple[str, str]:
                 for lam in lambdas:
                     om_s, om_d = induced.conjecture_params(spec, k, lam)
                     rv_s, rv_d = induced.conjecture_params(rev, g - k, 1 / lam)
-                    if rv_s.as_surd() != om_d.as_surd() or rv_d.as_surd() != om_s.as_surd():
-                        return "FAIL", f"g={g}, k={k}, lam={lam}: reverse params do not swap"
+                    _expect(rv_s.as_surd() == om_d.as_surd() and rv_d.as_surd() == om_s.as_surd(),
+                            "reverse params at g-k, 1/lam swap", spec=spec, k=k, lam=lam)
     return "PASS", "reverse spec with k->g-k, lam->1/lam exchanges the two polarizations"
 
 
@@ -386,23 +399,19 @@ def _check_heart_shift() -> tuple[str, str]:
             u = PolarScalar(Fraction(1), Fraction(1, g))
             e = lattice.skyscraper(spec.src)
             verdict = induced.phase_shift_check(spec, u, e)
-            if not (verdict.holds and verdict.exact and verdict.expected_shift == 1):
-                return "FAIL", (
-                    f"g={g}, r={spec.r}: holds={verdict.holds}, shift={verdict.expected_shift}"
-                )
+            _expect(verdict.holds and verdict.exact and verdict.expected_shift == 1,
+                    "the point's phase moves exactly, by heart shift 1", spec=spec, u=u)
     return "PASS", "phase transport holds with predicted heart shift 1"
 
 
 def _check_corrupted_spec() -> tuple[str, str]:
+    src, dst = AbelianContext(2, Fraction(2), "X"), AbelianContext(2, Fraction(3), "Y")
     try:
-        transform.FMTransformSpec(
-            src=AbelianContext(2, Fraction(2), "X"),
-            dst=AbelianContext(2, Fraction(3), "Y"),
-            r=1,
-        )
+        transform.FMTransformSpec(src=src, dst=dst, r=1)
     except transform.InvalidSpecError as exc:
         return "PASS", f"rejected: {exc}"
-    return "FAIL", "perturbed degree pair was accepted"
+    _expect(False, "a degree pair off the reciprocity is rejected",
+            g=2, nX=src.n, nY=dst.n, r=1, dX=0, dY=0)
 
 
 # ---------------------------------------------------------- stability, bg --
@@ -425,12 +434,9 @@ def _check_point_charge() -> tuple[str, str]:
         p = lattice.skyscraper(ctx)
         for _ in range(10):
             spec = stability.ChargeSpec(ctx, g, _rand_rat(rng), _rand_pos(rng))
-            if stability.charge(spec, p) != SurdComplex(Q3(-1)):
-                return "FAIL", f"full charge != -1 at g={g}"
-            if stability.phase_cmp(spec, p, Fraction(1)) != 0:
-                return "FAIL", f"phase != 1 at g={g}"
-            if stability.slope(spec, p) is not None:
-                return "FAIL", f"slope finite at g={g}"
+            _expect(stability.charge(spec, p) == SurdComplex(Q3(-1)), "Z(point) = -1", spec=spec)
+            _expect(stability.phase_cmp(spec, p, Fraction(1)) == 0, "phase(point) = 1", spec=spec)
+            _expect(stability.slope(spec, p) is None, "slope(point) = infinity", spec=spec)
     return "PASS", "point class has charge -1, phase 1, infinite slope"
 
 
@@ -440,11 +446,8 @@ def _check_point_kernel() -> tuple[str, str]:
         p = lattice.skyscraper(ctx)
         for k in range(1, g):
             spec = stability.ChargeSpec(ctx, k, Fraction(1, 3), Fraction(2))
-            z = stability.charge(spec, p)
-            if not z.is_zero:
-                return "FAIL", f"Z != 0 at g={g}, k={k}"
-            if stability.phase(spec, p) is not None:
-                return "FAIL", f"phase defined at g={g}, k={k}"
+            _expect(stability.charge(spec, p).is_zero, "Z(point) = 0", spec=spec)
+            _expect(stability.phase(spec, p) is None, "phase(point) is undefined", spec=spec)
     return "PASS", "truncated charges kill the point class, phase undefined"
 
 
@@ -458,15 +461,12 @@ def _check_charge_oracle() -> tuple[str, str]:
             b = _rand_rat(rng)
             t = Q3(_rand_pos(rng), _rand_pos(rng) if rng.random() < 0.5 else Fraction(0))
             spec = stability.ChargeSpec(ctx, k, b, t)
-            a = stability.charge(spec, e)
-            o = _convolved_charge(ctx, b, t, e, k)
-            if a != o:
-                return "FAIL", f"mismatch at g={g}, k={k}"
+            _expect(stability.charge(spec, e) == _convolved_charge(ctx, b, t, e, k),
+                    "charge = the series convolution", spec=spec, e=e)
             e2 = _rand_class(rng, ctx)
-            if stability.charge(spec, e) + stability.charge(spec, e2) != stability.charge(
-                spec, e + e2
-            ):
-                return "FAIL", f"additivity broke at g={g}"
+            z_sum = stability.charge(spec, e) + stability.charge(spec, e2)
+            _expect(z_sum == stability.charge(spec, e + e2), "Z(e) + Z(e2) = Z(e + e2)",
+                    spec=spec, e=e, e2=e2)
     return "PASS", "closed form matches series convolution; additive"
 
 
@@ -477,10 +477,8 @@ def _check_slope_scaling() -> tuple[str, str]:
         e = _rand_class(rng, ctx)
         spec = stability.ChargeSpec(ctx, rng.randint(1, 3), _rand_rat(rng), _rand_pos(rng))
         q = _rand_pos(rng)
-        s1 = stability.slope(spec, e)
-        s2 = stability.slope(spec, e.scale(q))
-        if stability.slope_cmp(s1, s2) != 0:
-            return "FAIL", f"slope moved under scaling by {q}"
+        s1, s2 = stability.slope(spec, e), stability.slope(spec, e.scale(q))
+        _expect(stability.slope_cmp(s1, s2) == 0, "slope(q*e) = slope(e)", spec=spec, e=e, q=q)
     return "PASS", "slope invariant under positive rescaling"
 
 
@@ -492,40 +490,35 @@ def _check_hn_polygon() -> tuple[str, str]:
     z0 = lattice.structure_sheaf(ctx)
     up = lattice.line_bundle(ctx, Fraction(1))
     good = stability.hn_polygon([up, z0, dn], spec)
-    if not good.valid:
-        return "FAIL", "descending slopes judged invalid"
+    _expect(good.valid, "descending slopes are valid", spec=spec, e0=up, e1=z0, e2=dn)
     bad = stability.hn_polygon([z0, up], spec)
-    if bad.valid:
-        return "FAIL", "ascending slopes judged valid"
-    if list(bad.sorted_order) != [1, 0]:
-        return "FAIL", f"sort order wrong: {bad.sorted_order}"
-    merged = stability.hn_polygon([dn, dn], spec)
-    if not merged.valid:
-        return "FAIL", "equal adjacent slopes must merge into one edge"
-    if any(v[0].sign() < 0 for v in good.vertices):
-        return "FAIL", "x coordinate went negative"
+    _expect(not bad.valid, "ascending slopes are invalid", spec=spec, e0=z0, e1=up)
+    _expect(list(bad.sorted_order) == [1, 0], "sorted order is 1, 0", spec=spec, e0=z0, e1=up)
+    _expect(stability.hn_polygon([dn, dn], spec).valid, "equal slopes merge into one edge",
+            spec=spec, e0=dn, e1=dn)
+    _expect(all(v[0].sign() >= 0 for v in good.vertices), "every vertex has x >= 0",
+            spec=spec, e0=up, e1=z0, e2=dn)
     try:
         stability.hn_polygon([-up], spec)
-        return "FAIL", "accepted a factor outside the heart range"
     except stability.HeartValueError:
-        pass
-    return "PASS", "validity, plumbing order and rejection all behave"
+        return "PASS", "validity, plumbing order and rejection all behave"
+    _expect(False, "a factor outside the heart is rejected", spec=spec, e0=-up)
 
 
 def _check_bound_cases() -> tuple[str, str]:
     rng = _rng("bound")
     ctx = AbelianContext(3, Fraction(6))
-    v = lattice.structure_sheaf(ctx)
-    verdict = stability.bg_check(ctx, Fraction(0), Fraction(1), v)
-    if not verdict.inequality_holds:
-        return "FAIL", "trivial 0 <= 0 case judged false"
-    p = lattice.skyscraper(ctx)
-    verdict = stability.bg_check(ctx, Fraction(0), Fraction(1), p)
-    if verdict.inequality_holds or verdict.precondition_zero_slope:
-        return "FAIL", "point class verdicts wrong"
-    z = CohClass.zero(ctx)
-    if not stability.bg_check(ctx, Fraction(0), Fraction(1), z).inequality_holds:
-        return "FAIL", "zero class not vacuously true"
+    b, t = Fraction(0), Fraction(1)
+    e = lattice.structure_sheaf(ctx)
+    _expect(stability.bg_check(ctx, b, t, e).inequality_holds, "the bound holds", ctx=ctx, b=b,
+            t=t, e=e)
+    e = lattice.skyscraper(ctx)
+    verdict = stability.bg_check(ctx, b, t, e)
+    _expect(not (verdict.inequality_holds or verdict.precondition_zero_slope),
+            "neither the bound nor nu = 0 holds", ctx=ctx, b=b, t=t, e=e)
+    e = CohClass.zero(ctx)
+    _expect(stability.bg_check(ctx, b, t, e).inequality_holds, "the bound holds", ctx=ctx, b=b,
+            t=t, e=e)
     for _ in range(50):
         e = _rand_class(rng, ctx)
         b = _rand_rat(rng)
@@ -533,10 +526,9 @@ def _check_bound_cases() -> tuple[str, str]:
             e = -e
         t1 = _rand_pos(rng)
         t2 = t1 + _rand_pos(rng)
-        v1 = stability.bg_check(ctx, b, t1, e)
-        v2 = stability.bg_check(ctx, b, t2, e)
-        if v1.inequality_holds and not v2.inequality_holds:
-            return "FAIL", f"monotonicity broke at b={b}, t={t1}->{t2}"
+        v1, v2 = (stability.bg_check(ctx, b, t, e).inequality_holds for t in (t1, t2))
+        _expect(v2 or not v1, "the bound at t1 implies it at t2 > t1", ctx=ctx, b=b, t1=t1, t2=t2,
+                e=e)
     return "PASS", "trivial, point, zero and t-monotone cases all behave"
 
 
@@ -545,21 +537,21 @@ def _check_slice_windows() -> tuple[str, str]:
     spec = stability.ChargeSpec(ctx, 2, Fraction(0), Fraction(1))
     p = lattice.skyscraper(ctx)
     half, one, threehalf = Fraction(1, 2), Fraction(1), Fraction(3, 2)
-    if not stability.in_slice(spec, p, (half, one)):
-        return "FAIL", "point class not in (1/2, 1]"
+    _expect(stability.in_slice(spec, p, (half, one)), "phase(e) lies in (1/2, 1]", spec=spec, e=p)
     ctx1 = AbelianContext(1, Fraction(1))
     spec1 = stability.ChargeSpec(ctx1, 1, Fraction(0), Fraction(1))
     o = lattice.structure_sheaf(ctx1)  # charge i, phase 1/2
-    if stability.in_slice(spec1, o, (half, one)):
-        return "FAIL", "phase 1/2 leaked into the open end"
+    _expect(not stability.in_slice(spec1, o, (half, one)), "phase(e) = 1/2 lies outside (1/2, 1]",
+            spec=spec1, e=o)
     sh = transform.ShiftedClass(o, 1)  # phase 3/2
-    if not stability.in_slice(spec1, sh, (half, threehalf)):
-        return "FAIL", "shifted phase 3/2 missed (1/2, 3/2]"
-    tower = stability.heart_tower(ctx, Fraction(0), Fraction(1))
-    if [lvl.k for lvl in tower] != [1, 2] or not tower[-1].is_top:
-        return "FAIL", "tower levels wrong"
-    if tower[0].heart != "Coh" or tower[1].window != (half, threehalf):
-        return "FAIL", "tower descriptors wrong"
+    _expect(stability.in_slice(spec1, sh, (half, threehalf)), "phase(e[1]) lies in (1/2, 3/2]",
+            spec=spec1, e=o)
+    b, t = Fraction(0), Fraction(1)
+    tower = stability.heart_tower(ctx, b, t)
+    _expect([lvl.k for lvl in tower] == [1, 2] and tower[-1].is_top, "tower levels are 1, 2",
+            ctx=ctx, b=b, t=t)
+    _expect(tower[0].heart == "Coh" and tower[1].window == (half, threehalf),
+            "tower hearts are Coh, then window (1/2, 3/2]", ctx=ctx, b=b, t=t)
     return "PASS", "slice membership and tower descriptors behave"
 
 
@@ -647,7 +639,12 @@ def run_verify(suite: str) -> tuple[list[CheckResult], bool]:
     for name, checks in _SUITE_CHECKS.items():
         if suite in ("all", name):
             for check in checks:
-                status, detail = check()
+                try:
+                    status, detail = check()
+                except _Failed as exc:
+                    status, detail = "FAIL", str(exc)
+                except Exception as exc:
+                    status, detail = "FAIL", f"raised {type(exc).__name__}: {exc}"
                 tag = check.__name__.removeprefix("_check_")
                 results.append(CheckResult(f"{name}.{tag}", status, detail))
     ok = all(r.status != "FAIL" for r in results)

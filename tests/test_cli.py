@@ -273,8 +273,70 @@ def test_verify_failure_names_the_check(capsys, monkeypatch):
     rc, out, _ = run(capsys, ["verify", "--suite", "lattice"])
     assert rc == 1
     lines = out.splitlines()
-    assert "FAIL lattice.chi_advisory: missed fractional chi=3/2" in lines
+    assert (
+        "FAIL lattice.chi_advisory: an advisory names chi exactly when it is fractional"
+        " fails at g=2; n=3"
+    ) in lines
     assert lines[-1] == "FAILED: 7 checks, 1 failures"
+
+
+def test_verify_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    import abelfm.lattice
+
+    def broken(a, b):
+        raise ValueError("kernel broke")
+
+    monkeypatch.setattr(abelfm.lattice, "twist", broken)
+    rc, out, err = run(capsys, ["verify", "--suite", "lattice"])
+    assert (rc, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        f"FAIL lattice.{check}: raised ValueError: kernel broke"
+        for check in ("twist_action", "vvector_roundtrip", "point_class")
+    ]
+    assert sum(line.startswith(("PASS ", "NOTE ")) for line in lines) == 4
+    assert lines[-1] == "FAILED: 7 checks, 3 failures"
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch, poincare_cfg):
+    # a TypeError inside a verb is a program bug: it propagates, and neither
+    # an "error:" line nor exit 2 is printed for it
+    import abelfm.transform
+
+    def broken(spec, e):
+        raise TypeError("bug in apply")
+
+    monkeypatch.setattr(abelfm.transform, "apply", broken)
+    with pytest.raises(TypeError, match="bug in apply"):
+        main(["transform", "--config", poincare_cfg, "--class", "1,0,0"])
+    assert capsys.readouterr() == ("", "")
+    # run as a program, Python prints the traceback and exits 1
+    code = (
+        "import sys, abelfm.transform as t; from abelfm.cli import main\n"
+        "def broken(spec, e): raise TypeError('bug in apply')\n"
+        "t.apply = broken; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "transform", "--config", poincare_cfg, "--class", "1,0,0"],
+        capture_output=True, text=True, env=_subprocess_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback ")
+    assert proc.stderr.rstrip().endswith("TypeError: bug in apply")
+    assert not any(line.startswith("error: ") for line in proc.stderr.splitlines())
+
+
+@pytest.mark.parametrize("leaf,value", [("t", "1 2"), ("t", "1 +2*sqrt3"), ("t", "1+2 *sqrt3"),
+                                        ("t", "1/2 + sqrt3"), ("b", "1 2")])
+def test_space_inside_a_literal_exits_2(capsys, tmp_path, leaf, value):
+    cfg = json.loads(json.dumps(CHARGE_CFG))
+    cfg["charge"][leaf] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc, out, err = run(capsys, ["charge", "--config", str(path), "--class", "1,0,0"])
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: charge.{leaf}: bad "), err
+    assert repr(value) in err
 
 
 def test_usage_exit_codes(capsys):

@@ -1,5 +1,6 @@
 """Text round-trips for rationals, surds, class lists and polar scalars."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,17 @@ def test_parse_surd(text, val):
 def test_parse_surd_rejects():
     for bad in ("", "sqrt2", "1+*sqrt3", "1.2*sqrt3", "++1"):
         with pytest.raises(ValueError):
+            parse_surd(bad)
+
+
+def test_literals_strip_whitespace_at_the_ends_only():
+    assert parse_rational(" 3/2\t") == Fraction(3, 2)
+    assert parse_surd(" 1+2*sqrt3\n") == Q3(1, 2)
+    assert parse_surd("\t-sqrt3 ") == Q3(0, -1)
+    for bad in ("1 2", "1 +2*sqrt3", "1+ 2*sqrt3", "1+2 *sqrt3", "1+2* sqrt3", "1 + sqrt3",
+                "1/2 - sqrt3", "- sqrt3", "1\t+2*sqrt3", "3 *sqrt3"):
+        pattern = f"^bad (rational|surd) literal {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=pattern):
             parse_surd(bad)
 
 

@@ -148,6 +148,59 @@ def test_semicircle_wall_cells_verified():
         assert (has_pos and has_neg) or (has_zero and (has_pos or has_neg))
 
 
+def _level_two_coeffs(e):
+    """(a, b, c) of P(beta) = c0 beta^2/g! - c1 beta/(g-1)! + c2/(g-2)!, so that
+    the level-2 charge is a constant times (-beta)^(g-2) P(beta)."""
+    g, c = e.ctx.g, e.c
+    return c[0] / factorial(g), -c[1] / factorial(g - 1), c[2] / factorial(g - 2)
+
+
+def _random_classes(rng, ctx, count):
+    return [CohClass(ctx, [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ctx.g + 1)])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_level_two_walls_are_semicircles_at_every_g(g):
+    # W = |beta|^(2(g-2)) Im(P_v conj P_w) up to a positive factor, and
+    # Im(P_v conj P_w) = t (A (b^2 + t^2) + B b + C); t > 0 on the grid, so
+    # every wall is a semicircle centred on the b axis or a vertical line
+    rng = random.Random(f"semicircles:{g}")
+    ctx = AbelianContext(g, F(factorial(g)))
+    v, *walls = _random_classes(rng, ctx, 5)
+    nb, nt = 13, 11
+    req = ScanRequest(ctx, 2, v, tuple(walls), (F(-2), F(2)), (F(1, 10), F(2)), (nb, nt))
+    bs = [F(-2) + F(4, nb - 1) * i for i in range(nb)]
+    ts = [F(1, 10) + F(19, 10 * (nt - 1)) * j for j in range(nt)]
+    av, bv, cv = _level_two_coeffs(v)
+    want = set()
+    for wi, w in enumerate(walls):
+        aw, bw, cw = _level_two_coeffs(w)
+        A, B, C = av * bw - aw * bv, 2 * (av * cw - aw * cv), bv * cw - bw * cv
+        circle = {(x, y): A * (bs[x] ** 2 + ts[y] ** 2) + B * bs[x] + C
+                  for x in range(nb) for y in range(nt)}
+        sign = {xy: (val > 0) - (val < 0) for xy, val in circle.items()}
+        for x in range(nb - 1):
+            for y in range(nt - 1):
+                quad = {sign[x, y], sign[x + 1, y], sign[x, y + 1], sign[x + 1, y + 1]}
+                if len(quad) > 1:
+                    want.add((wi, bs[x], ts[y]))
+    ds = scan_walls(req)
+    assert {(c.w_index, c.b, c.t) for c in ds.cells} == want
+    assert len({wi for wi, _, _ in want}) >= 2  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_level_one_scans_emit_no_cells(g):
+    # Z_1 is (-beta)^(g-1) times a linear P(beta), so W = t * const: one sign on t > 0
+    rng = random.Random(f"level-one:{g}")
+    ctx = AbelianContext(g, F(factorial(g)))
+    v, *walls = _random_classes(rng, ctx, 5)
+    ds = scan_walls(ScanRequest(ctx, 1, v, tuple(walls), (F(-3), F(3)), (F(1, 50), F(3)), (15, 15)))
+    assert ds.cells == ()
+    assert len(ds.trivial_walls) < len(walls)  # some wall is a genuine W != 0
+
+
 def test_cell_order_is_wall_then_b_then_t():
     ctx = ctx2()
     ds = scan_walls(small_request([line_bundle(ctx, F(1)), skyscraper(ctx)], res=(17, 17)))
