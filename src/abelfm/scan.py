@@ -6,26 +6,38 @@ the locus where their level-k charges align over the reals:
 
     W(b, t) = Re Z(w) * Im Z(v) - Re Z(v) * Im Z(w) = 0.
 
-The scanner makes one pass over the b columns of the grid.  It evaluates W
-exactly at each point of a column, keeps only the current and the previous
-column of signs per wall, and emits each cell between them whose four
-corner signs are not all equal (two corners of strict opposite sign, or a
-zero corner next to a nonzero one).  Memory is O(walls * nt + cells),
-independent of the number of b columns.  A wall class proportional to the
-probe gives the identically zero polynomial; it is flagged trivial and
-contributes no cells.  A probe whose charge vanishes on the whole grid
-flags the dataset as degenerate.
-
 The simultaneous quarter-turn in both charges cancels inside W, so the
 scanner works with plain truncated integrals: the integer numerators of
 stability's one charge polynomial, rescaled to the grid and divided by
-their gcd.  The independent re-check in recheck_walls goes through the
-public rotated charge instead, which also exercises that cancellation.
-Grid values are cleared to integers before the inner loop, so a 200 x 200
-scan stays well under the time budget.
+their gcd.  At level k that integral is z^(g-k) * P(z) with P of degree k,
+z = b + i*t; the dropped factor scales W by |z|^(2(g-k)) > 0, so the
+scanner keeps only the k + 1 coefficients of P, and its cost follows k,
+not g.  The independent re-check in recheck_walls goes through the public
+rotated charge instead, which also exercises that cancellation.
+
+The scanner makes one pass over the b columns of the grid, with every
+coordinate cleared to an integer by one common scale.  Per column it
+expands each class's P at b + i*T in T by repeated synthetic division,
+P(b + i*T) = R(T^2) + i*T*I(T^2), and forms Q = R_w * I_v - R_v * I_w, so
+that W = T * Q(T^2).  T > 0 on the grid, so sign W = sign Q(T^2): one
+integer Horner pass of degree at most k - 1 per wall and grid point, on
+the precomputed squares of the grid's t values.  That is about walls * k^2
+big-integer operations per column plus walls * k per grid point.  The
+scanner keeps only the current and the previous column of signs per wall,
+and emits each cell between them whose four corner signs are not all equal
+(two corners of strict opposite sign, or a zero corner next to a nonzero
+one).  Memory is O(walls * nt + cells), independent of the number of b
+columns.  A wall class proportional to the probe gives Q = 0; it is
+flagged trivial and contributes no cells.  A probe whose charge vanishes
+at every grid point flags the dataset as degenerate; R_v and I_v are
+evaluated down the columns only until the first point where one of them
+is nonzero.
 
 Emission is byte-deterministic: fixed orderings, exact "p/q" encodings in
-CSV and JSON, fixed float formatting in SVG.
+CSV and JSON, fixed float formatting in SVG.  The JSON text is the
+dataset's record as json.dumps(..., sort_keys=True, indent=2) writes it;
+emit_json writes each cell with one f-string rather than building a dict
+per cell, so its peak memory is about its output plus one string per cell.
 """
 
 from __future__ import annotations
@@ -34,7 +46,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 from .lattice import AbelianContext, CohClass, _require_match
 from .literals import format_rational_frac
@@ -82,7 +93,7 @@ class ScanRequest:
         object.__setattr__(self, "walls", walls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WallCell:
     """Lower-left corner of a grid cell containing a sign change."""
 
@@ -105,15 +116,49 @@ def _grid(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
 
 
 def _int_charge_coeffs(cls: CohClass, k: int, scale: int) -> list[int]:
-    """Integer coefficients q_m with sum_m q_m * (scale*z)^m equal to a fixed
-    positive multiple of the plain truncated integral at z = b + i*t, with
-    no common factor.  The per-class positive factor is irrelevant to
-    signs."""
+    """Integer coefficients p_0..p_k, constant first, of the P with
+    (scale*z)^(g-k) * P(scale*z) a fixed positive multiple of the plain
+    truncated integral at z = b + i*t, with no common factor.  The
+    per-class positive factor is irrelevant to signs."""
     g = cls.ctx.g
+    nums = _charge_ints(cls.ctx, cls, k)[0]  # zero below degree g - k
     # scale^(g-m) re-homogenizes after substituting z -> z/scale
-    coeffs = [x * scale ** (g - m) for m, x in enumerate(_charge_ints(cls.ctx, cls, k)[0])]
+    coeffs = [nums[m] * scale ** (g - m) for m in range(g - k, g + 1)]
     d = gcd(*coeffs) or 1  # a zero class has only zero coefficients
     return [x // d for x in coeffs]
+
+
+def _column_parts(p: list[int], zb: int) -> tuple[list[int], list[int]]:
+    """(R, I) with P(zb + i*T) = R(T^2) + i*T*I(T^2), constant terms first.
+
+    Repeated synthetic division leaves the Taylor coefficients a_j of P at
+    zb; (i*T)^j is (-1)^h T^(2h) for j = 2h and (-1)^h i T^(2h+1) for
+    j = 2h + 1."""
+    a = list(p)
+    for j in range(len(a) - 1):
+        for m in range(len(a) - 2, j - 1, -1):
+            a[m] += zb * a[m + 1]
+    signed = [-x if j % 4 > 1 else x for j, x in enumerate(a)]
+    return signed[::2], signed[1::2]
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _horner(p: list[int], s: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * s + c
+    return acc
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _crosses(quad) -> bool:
@@ -123,60 +168,35 @@ def _crosses(quad) -> bool:
 
 
 def scan_walls(req: ScanRequest) -> WallDataset:
-    """Evaluate every wall polynomial exactly on the grid, one b column at a
-    time, and collect the sign-change cells, ordered by wall index, then b,
-    then t."""
+    """Evaluate the sign of every wall polynomial exactly on the grid, one b
+    column at a time, and collect the sign-change cells, ordered by wall
+    index, then b, then t."""
     nb, nt = req.resolution
     bs = _grid(req.b_range[0], req.b_range[1], nb)
     ts = _grid(req.t_range[0], req.t_range[1], nt)
-    g = req.ctx.g
-    ms = range(g - req.k, g + 1)
 
-    # clear all grid denominators with one integer scale
+    # clear all grid denominators with one integer scale; W depends on t
+    # through T^2 alone once its positive factor T is dropped
     scale = lcm(*(x.denominator for x in (*bs, *ts)))
     bi = [int(b * scale) for b in bs]
-    ti = [int(t * scale) for t in ts]
+    ss = [int(t * scale) ** 2 for t in ts]
 
-    qv, *qws = (_int_charge_coeffs(cls, req.k, scale) for cls in (req.v, *req.walls))
-    nw = len(qws)
+    pv, *pws = (_int_charge_coeffs(cls, req.k, scale) for cls in (req.v, *req.walls))
+    nw = len(pws)
     found: list[list[WallCell]] = [[] for _ in range(nw)]
     nonzero = [False] * nw
     v_degenerate = True
     prev = None
     for x in range(nb):
-        zb = bi[x]
-        # sign of W per wall down this column
-        col = [[0] * nt for _ in range(nw)]
-        for y in range(nt):
-            zt = ti[y]
-            # powers of z = zb + i*zt
-            pr, pi_ = 1, 0
-            pow_r = [1] + [0] * g
-            pow_i = [0] * (g + 1)
-            for m in range(1, g + 1):
-                pr, pi_ = pr * zb - pi_ * zt, pr * zt + pi_ * zb
-                pow_r[m] = pr
-                pow_i[m] = pi_
-            vr = vim = 0
-            for m in ms:
-                qm = qv[m]
-                if qm:
-                    vr += qm * pow_r[m]
-                    vim += qm * pow_i[m]
-            if vr or vim:
-                v_degenerate = False
-            for wi in range(nw):
-                q = qws[wi]
-                wr = wim = 0
-                for m in ms:
-                    qm = q[m]
-                    if qm:
-                        wr += qm * pow_r[m]
-                        wim += qm * pow_i[m]
-                val = wr * vim - vr * wim
-                if val:
-                    nonzero[wi] = True
-                    col[wi][y] = 1 if val > 0 else -1
+        rv, iv = _column_parts(pv, bi[x])
+        if v_degenerate:
+            v_degenerate = not any(_horner(rv, s) or _horner(iv, s) for s in ss)
+        col = []
+        for pw in pws:
+            rw, iw = _column_parts(pw, bi[x])
+            q = [a - c for a, c in zip(_mul(rw, iv), _mul(rv, iw))]
+            col.append([_sign(_horner(q, s)) for s in ss])
+        nonzero = [seen or any(signs) for seen, signs in zip(nonzero, col)]
         if prev is not None:
             b = bs[x - 1]
             for wi in range(nw):
@@ -257,26 +277,34 @@ def emit_csv(ds: WallDataset) -> str:
 
 
 def emit_json(ds: WallDataset) -> str:
+    """The record json.dumps(..., sort_keys=True, indent=2) writes, with
+    each cell written by one f-string: the values are "p/q" strings and ints,
+    which JSON encodes as themselves, and no dict per cell is built."""
     req = ds.request
-    record = {
-        "k": req.k,
-        "g": req.ctx.g,
-        "n": format_rational_frac(req.ctx.n),
-        "b_range": [format_rational_frac(x) for x in req.b_range],
-        "t_range": [format_rational_frac(x) for x in req.t_range],
-        "resolution": list(req.resolution),
-        "v_degenerate": ds.v_degenerate,
-        "trivial_walls": list(ds.trivial_walls),
-        "cells": [
-            {
-                "w": cell.w_index,
-                "b": format_rational_frac(cell.b),
-                "t": format_rational_frac(cell.t),
-            }
-            for cell in ds.cells
-        ],
-    }
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    head = json.dumps(
+        {
+            "k": req.k,
+            "g": req.ctx.g,
+            "n": format_rational_frac(req.ctx.n),
+            "b_range": [format_rational_frac(x) for x in req.b_range],
+            "t_range": [format_rational_frac(x) for x in req.t_range],
+            "resolution": list(req.resolution),
+            "v_degenerate": ds.v_degenerate,
+            "trivial_walls": list(ds.trivial_walls),
+            "cells": [],
+        },
+        sort_keys=True,
+        indent=2,
+    )
+    if not ds.cells:
+        return head + "\n"
+    before, after = head.split('"cells": []')
+    cells = ",\n".join(
+        f'    {{\n      "b": "{format_rational_frac(c.b)}",\n'
+        f'      "t": "{format_rational_frac(c.t)}",\n      "w": {c.w_index}\n    }}'
+        for c in ds.cells
+    )
+    return "".join((before, '"cells": [\n', cells, "\n  ]", after, "\n"))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

@@ -131,6 +131,8 @@ def _check_twist_action() -> tuple[str, str]:
             _expect(lattice.twist(lattice.twist(a, b1), b2) == lattice.twist(a, b1 + b2),
                     "twist(twist(a, b1), b2) = twist(a, b1+b2)", ctx=ctx, a=a, b1=b1, b2=b2)
             _expect(lattice.twist(a, 0) == a, "twist(a, 0) = a", ctx=ctx, a=a)
+            _expect(lattice.twist(a, b1) == lattice.mul(lattice.exp_div(-b1, ctx), a),
+                    "twist(a, b1) = e^(-b1*l) * a", ctx=ctx, a=a, b1=b1)
     return "PASS", "twists compose additively and fix b=0"
 
 

@@ -1,5 +1,6 @@
 """Wall scanner: exact sign-change detection, flags, emission formats."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ from abelfm.scan import (
     RecheckFailure,
     ScanRequest,
     WallCell,
+    WallDataset,
     _crosses,
     emit,
     emit_csv,
@@ -263,8 +265,6 @@ def test_csv_always_fractional_encoding():
 
 
 def test_json_fields():
-    import json
-
     ctx = ctx2()
     ds = scan_walls(small_request([skyscraper(ctx)]))
     rec = json.loads(emit_json(ds))
@@ -274,6 +274,55 @@ def test_json_fields():
     assert rec["trivial_walls"] == [] and rec["v_degenerate"] is False
     assert rec["cells"][0] == {"w": 0, "b": "-1/2", "t": "1/100"}
     assert len(rec["cells"]) == len(ds.cells)
+
+
+def _json_reference(ds):
+    """The full record, one dict per cell, through json.dumps."""
+    req = ds.request
+    record = {
+        "k": req.k,
+        "g": req.ctx.g,
+        "n": f"{req.ctx.n.numerator}/{req.ctx.n.denominator}",
+        "b_range": [f"{x.numerator}/{x.denominator}" for x in req.b_range],
+        "t_range": [f"{x.numerator}/{x.denominator}" for x in req.t_range],
+        "resolution": list(req.resolution),
+        "v_degenerate": ds.v_degenerate,
+        "trivial_walls": list(ds.trivial_walls),
+        "cells": [{"w": c.w_index, "b": f"{c.b.numerator}/{c.b.denominator}",
+                   "t": f"{c.t.numerator}/{c.t.denominator}"} for c in ds.cells],
+    }
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def _synthetic_dataset(count, trivial=(), v_degenerate=False):
+    """count cells over three walls with negative, integer and fractional
+    coordinates, on a request whose ranges are negative and integral too."""
+    ctx = AbelianContext(3, F(-7, 2) ** 2)
+    o = structure_sheaf(ctx)
+    req = ScanRequest(ctx, 3, o, (o, skyscraper(ctx), line_bundle(ctx, F(-1))),
+                      (F(-5), F(3, 7)), (F(1, 20), F(2)), (1000, 1000))
+    cells = tuple(WallCell(i % 3, F(i - 1000, 7 + i % 5), F(1 + i, 1 + i % 3)) for i in range(count))
+    return WallDataset(req, cells, tuple(trivial), v_degenerate)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 2000])
+@pytest.mark.parametrize("trivial,v_degenerate", [((), False), ((0,), False), ((0, 2), True)])
+def test_json_is_the_full_record_through_json_dumps(count, trivial, v_degenerate):
+    ds = _synthetic_dataset(count, trivial, v_degenerate)
+    assert emit_json(ds) == _json_reference(ds)
+
+
+def test_json_emitter_memory_is_about_its_output():
+    # one dict per cell through the indenting encoder peaks at about 1.9 MiB here
+    ds = _synthetic_dataset(2000)
+    tracemalloc.start()
+    try:
+        text = emit_json(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 120_000
+    assert peak < 2**20
 
 
 def test_svg_structure():
@@ -355,7 +404,7 @@ coeff = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(
 
 @st.composite
 def scan_requests(draw):
-    g = draw(st.integers(1, 4))
+    g = draw(st.integers(1, 6))
     ctx = AbelianContext(g, draw(st.sampled_from([F(1), F(2), F(6), F(3, 2)])))
     k = draw(st.integers(1, g))
     cls = st.lists(coeff, min_size=g + 1, max_size=g + 1).map(lambda c: CohClass(ctx, tuple(c)))
@@ -385,6 +434,20 @@ def test_scan_matches_dense_reference(req):
     # completeness as well as soundness: no cell missing, none extra
     ds = scan_walls(req)
     assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
+
+
+@pytest.mark.parametrize("g,k", [(8, 2), (8, 5), (10, 3), (10, 9), (12, 4), (12, 7)])
+def test_scan_below_the_top_level_matches_dense_reference(g, k):
+    # the scanner drops the factor z^(g-k) of every level-k charge; the
+    # reference evaluates the full degree-g charge
+    rng = random.Random(f"level-strip:{g}:{k}")
+    ctx = AbelianContext(g, F(factorial(g), 3))
+    v, *walls = _random_classes(rng, ctx, 4)
+    walls.append(v.scale(F(-3, 2)))
+    req = ScanRequest(ctx, k, v, tuple(walls), (F(-8), F(8)), (F(1, 4), F(8)), (8, 9))
+    ds = scan_walls(req)
+    assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
+    assert ds.cells and ds.trivial_walls == (3,)
 
 
 def test_scan_memory_does_not_grow_with_the_grid():

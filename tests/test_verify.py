@@ -47,6 +47,13 @@ def twist_composes(w):
     return lattice.twist(lattice.twist(a, b1), b2) == lattice.twist(a, b1 + b2)
 
 
+def twist_multiplies(w):
+    ctx = context(w)
+    a = config.class_from(ctx, w["a"])
+    b1 = parse_rational(w["b1"])
+    return lattice.twist(a, b1) == lattice.mul(lattice.exp_div(-b1, ctx), a)
+
+
 def round_trip_sign(w):
     s = spec(w)
     e = config.class_from(s.src, w["e"])
@@ -70,6 +77,11 @@ def _negated_twist(orig):
     return lambda a, b: -orig(a, b)
 
 
+def _flipped_twist(orig):
+    # twist(a, -b): composition and b = 0 cannot see the sign of b
+    return lambda a, b: orig(a, -b)
+
+
 def _unsigned_apply(orig):
     # the alternating sign of the reversal cancelled by a stray dual
     return lambda spec, e: lattice.mukai_dual(orig(spec, e))
@@ -89,18 +101,20 @@ def _unrotated_charge(orig):
 
 
 FAULTS = [  # suite, kernel, fault, first failing check, witness keys, replay
-    ("lattice", (lattice, "twist"), _negated_twist, "twist_action",
-     ["g", "n", "a", "b1", "b2"], twist_composes),
-    ("transform", (transform, "apply"), _unsigned_apply, "composition_sign",
-     ["g", "nX", "nY", "r", "dX", "dY", "e"], round_trip_sign),
-    ("law", (induced, "induced_law"), _target_b_sign, "param_duality",
-     ["g", "nX", "nY", "r", "dX", "dY", "k", "lam"], params_swap),
-    ("bg", (stability, "charge_at"), _unrotated_charge, "point_charge",
-     ["g", "n", "k", "b", "t"], point_charge),
+    pytest.param("lattice", (lattice, "twist"), _negated_twist, "twist_action",
+                 ["g", "n", "a", "b1", "b2"], twist_composes, id="lattice"),
+    pytest.param("lattice", (lattice, "twist"), _flipped_twist, "twist_action",
+                 ["g", "n", "a", "b1"], twist_multiplies, id="lattice-b-sign"),
+    pytest.param("transform", (transform, "apply"), _unsigned_apply, "composition_sign",
+                 ["g", "nX", "nY", "r", "dX", "dY", "e"], round_trip_sign, id="transform"),
+    pytest.param("law", (induced, "induced_law"), _target_b_sign, "param_duality",
+                 ["g", "nX", "nY", "r", "dX", "dY", "k", "lam"], params_swap, id="law"),
+    pytest.param("bg", (stability, "charge_at"), _unrotated_charge, "point_charge",
+                 ["g", "n", "k", "b", "t"], point_charge, id="bg"),
 ]
 
 
-@pytest.mark.parametrize("suite,kernel,fault,check,keys,holds", FAULTS, ids=[f[0] for f in FAULTS])
+@pytest.mark.parametrize("suite,kernel,fault,check,keys,holds", FAULTS)
 def test_broken_kernel_prints_a_replayable_witness(capsys, monkeypatch, suite, kernel, fault,
                                                    check, keys, holds):
     module, name = kernel
