@@ -41,7 +41,10 @@ class ContextMismatchError(ValueError):
 class AbelianContext:
     """Dimension g >= 1, top intersection number n = l^g > 0, and a label.
 
-    Labels are purely cosmetic; operations only require (g, n) to agree.
+    Operations only require (g, n) to agree, but the label is not
+    cosmetic: it takes part in equality and hashing of contexts and of the
+    classes on them.  A sum or difference takes its left operand's context,
+    so with labels "X" and "X2" on equal (g, n), a + b != b + a.
     """
 
     g: int
@@ -139,15 +142,15 @@ class CohClass:
         return CohClass._new(self.ctx, [p * x for x in self._nums], self._den * q.denominator)
 
     def _sum(self, other, sign: int, op: str):
-        """self + sign*other for sign 1 or -1, over d1 when the denominators
-        agree and over d1*d2 otherwise."""
+        """self + sign*other for sign 1 or -1, over d1*d2, on the context of
+        self."""
         if not isinstance(other, CohClass):
             return NotImplemented
         _require_match(self.ctx, other.ctx, op)
         d1, d2 = self._den, other._den
-        m1, m2 = (1, sign) if d1 == d2 else (d2, sign * d1)
-        nums = [a * m1 + b * m2 for a, b in zip(self._nums, other._nums)]
-        return CohClass._new(self.ctx, nums, d1 * m1)
+        m = sign * d1
+        nums = [a * d2 + b * m for a, b in zip(self._nums, other._nums)]
+        return CohClass._new(self.ctx, nums, d1 * d2)
 
     def __add__(self, other: "CohClass") -> "CohClass":
         return self._sum(other, 1, "add")
@@ -166,11 +169,7 @@ class CohClass:
         except TypeError:
             return NotImplemented
 
-    def __rmul__(self, other):
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, CohClass):

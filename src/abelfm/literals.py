@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .surd import Q3
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:

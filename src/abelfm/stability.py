@@ -114,7 +114,7 @@ def _horner_ints(nums: Sequence[int], den: int, beta: SurdComplex, turns: int) -
     turns permute and negate it, and the two Q3 parts are built last."""
     a1, b1, d1 = beta.re._abd
     a2, b2, d2 = beta.im._abd
-    d = d1 if d1 == d2 else lcm(d1, d2)
+    d = lcm(d1, d2)
     xa, xb = a1 * (d // d1), b1 * (d // d1)
     ya, yb = a2 * (d // d2), b2 * (d // d2)
     ra, rb, ia, ib = nums[-1], 0, 0, 0
@@ -346,7 +346,7 @@ def bg_check(ctx: AbelianContext, b, t, e: CohClass) -> BGVerdict:
     spec = ChargeSpec(ctx, 2, b, t)  # validates b and t
     b, t = spec.b, spec.t
     tw = twist(e, b)
-    z2 = charge_at(ctx, SurdComplex(Q3(b), t), e, 2)
+    z2 = charge(spec, e)
     precondition = z2.re.sign() == 0 and not z2.is_zero
     lhs = Q3(tw.c[3] * ctx.n)
     rhs = (t * t) * Fraction(tw.c[1] * ctx.n, 18)

@@ -20,6 +20,12 @@ triple.  A float is rounded once from the triple, by an integer square root
 and one integer division, so it keeps its sign and size even where a and
 b*sqrt 3 nearly cancel.
 
+Each binary operator reads its operand through one decorator, _operand: a
+Q3 operator gets the canonical triple of an int, Fraction or Q3, and a
+SurdComplex operator a SurdComplex, a real operand landing on the real axis;
+any other operand gives NotImplemented.  Each operation then has one formula;
+only the Q3 product keeps a second one, for two rationals.
+
 Everything in this module is immutable and hashable.
 """
 
@@ -54,13 +60,28 @@ def _parts(x) -> "tuple[int, int, int] | None":
     return None
 
 
+def _operand(coerce):
+    """The decorator that hands a binary operator op(self, o) its operand
+    as coerce(other); NotImplemented where coerce gives None, that is for an
+    operand that is not exact."""
+
+    def decorate(op):
+        @wraps(op)
+        def method(self, other):
+            o = coerce(other)
+            return NotImplemented if o is None else op(self, o)
+
+        return method
+
+    return decorate
+
+
 def _sum(x: tuple[int, int, int], y: tuple[int, int, int], sign: int) -> "Q3":
-    """x + sign*y for canonical triples and sign 1 or -1, over d1 when the
-    denominators agree and over d1*d2 otherwise."""
+    """x + sign*y for canonical triples and sign 1 or -1, over d1*d2."""
     a1, b1, d1 = x
     a2, b2, d2 = y
-    m1, m2 = (1, sign) if d1 == d2 else (d2, sign * d1)
-    return Q3._new(a1 * m1 + a2 * m2, b1 * m1 + b2 * m2, d1 * m1)
+    m = sign * d1
+    return Q3._new(a1 * d2 + a2 * m, b1 * d2 + b2 * m, d1 * d2)
 
 
 def _quotient(n: tuple[int, int, int], m: tuple[int, int, int]) -> "Q3":
@@ -133,30 +154,22 @@ class Q3:
             return 1 if a > 0 else -1
         return 1 if b > 0 else -1
 
-    def __add__(self, other):
-        o = other._abd if type(other) is Q3 else _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __add__(self, o):
         return _sum(self._abd, o, 1)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = other._abd if type(other) is Q3 else _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __sub__(self, o):
         return _sum(self._abd, o, -1)
 
-    def __rsub__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __rsub__(self, o):
         return _sum(o, self._abd, -1)
 
-    def __mul__(self, other):
-        o = other._abd if type(other) is Q3 else _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __mul__(self, o):
         a1, b1, d1 = self._abd
         a2, b2, d2 = o
         if not (b1 or b2):
@@ -165,16 +178,12 @@ class Q3:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __truediv__(self, o):
         return _quotient(self._abd, o)
 
-    def __rtruediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __rtruediv__(self, o):
         return _quotient(o, self._abd)
 
     def __neg__(self):
@@ -184,20 +193,16 @@ class Q3:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def __eq__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __eq__(self, o):
         return self._abd == o
 
     def __hash__(self):
         # rational values must hash like their Fraction counterparts
         return hash(self.r) if self.is_rational else hash((self.r, self.s))
 
-    def __lt__(self, other):
-        o = other._abd if type(other) is Q3 else _parts(other)
-        if o is None:
-            return NotImplemented
+    @_operand(_parts)
+    def __lt__(self, o):
         return _sum(self._abd, o, -1).sign() < 0
 
     def __bool__(self):
@@ -207,8 +212,6 @@ class Q3:
         # one rounding, int by int: sqrt 3 enters as isqrt(3 b^2 4^k), and 2^k
         # keeps 64 bits past any cancellation, as |a + b sqrt 3| >= 1/|a - b sqrt 3|
         a, b, d = self._abd
-        if not b:
-            return a / d
         k = 2 * max(a.bit_length(), b.bit_length()) + 64
         root = isqrt(3 * b * b << 2 * k)
         return ((a << k) + (root if b > 0 else -root)) / (d << k)
@@ -239,21 +242,13 @@ def as_q3(x) -> Q3:
     return x if type(x) is Q3 else Q3._new(*o)
 
 
-def _exact_operand(op):
-    """The SurdComplex operator op(self, o), its operand coerced to
-    SurdComplex first; NotImplemented for an operand that is not exact."""
-
-    @wraps(op)
-    def method(self, other):
-        t = type(other)
-        if t is SurdComplex:
-            return op(self, other)
-        if t is Q3:
-            return op(self, SurdComplex._new(other, _Q3_ZERO))
-        o = _parts(other)
-        return NotImplemented if o is None else op(self, SurdComplex._new(Q3._new(*o), _Q3_ZERO))
-
-    return method
+def _complex(x) -> "SurdComplex | None":
+    """x as a SurdComplex when x is one, or an int, Fraction or Q3 on the
+    real axis; None otherwise."""
+    if type(x) is SurdComplex:
+        return x
+    o = _parts(x)
+    return None if o is None else SurdComplex._new(Q3._new(*o), _Q3_ZERO)
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,26 +283,22 @@ class SurdComplex:
     def norm2(self) -> Q3:
         return self.re * self.re + self.im * self.im
 
-    @_exact_operand
+    @_operand(_complex)
     def __add__(self, o):
-        if o.im is _Q3_ZERO:  # a real operand: coercion shares this zero
-            return SurdComplex._new(self.re + o.re, self.im)
         return SurdComplex._new(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
-    @_exact_operand
+    @_operand(_complex)
     def __sub__(self, o):
         return SurdComplex._new(self.re - o.re, self.im - o.im)
 
-    @_exact_operand
+    @_operand(_complex)
     def __rsub__(self, o):
         return SurdComplex._new(o.re - self.re, o.im - self.im)
 
-    @_exact_operand
+    @_operand(_complex)
     def __mul__(self, o):
-        if o.im is _Q3_ZERO:  # a real factor: two products, not four
-            return SurdComplex._new(self.re * o.re, self.im * o.re)
         return SurdComplex._new(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -315,7 +306,7 @@ class SurdComplex:
 
     __rmul__ = __mul__
 
-    @_exact_operand
+    @_operand(_complex)
     def __truediv__(self, o):
         n2 = o.norm2()
         if n2.sign() == 0:
@@ -323,14 +314,14 @@ class SurdComplex:
         num = self * o.conj()
         return SurdComplex._new(num.re / n2, num.im / n2)
 
-    @_exact_operand
+    @_operand(_complex)
     def __rtruediv__(self, o):
         return o / self
 
     def __neg__(self):
         return SurdComplex._new(-self.re, -self.im)
 
-    @_exact_operand
+    @_operand(_complex)
     def __eq__(self, o):
         return self.re == o.re and self.im == o.im
 

@@ -196,3 +196,18 @@ from abelfm import config
 config.scan_from({cfg!r}, config.context_from({cfg!r}))
 """ + LOADED
     assert fresh(code) == ["abelfm.scan", "abelfm.stability"]
+
+
+def test_readme_tour_runs_and_its_comments_hold():
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Thirty-second tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(compile(tour, "README.md", "exec"), ns)
+    from abelfm import ChargeSpec, SurdComplex, phase, structure_sheaf
+
+    X, Y = ns["X"], ns["Y"]
+    assert str(ns["pt"]) == "0,0,1/2"
+    assert str(ns["img"]) == "1,0,0" and ns["img"] == structure_sheaf(Y)
+    assert ns["shift"] == 2 == X.g
+    assert ns["z"] == SurdComplex(-2, 1)
+    assert phase(ChargeSpec(X, k=X.g, b=0, t=1), ns["pt"]) == 1.0

@@ -453,6 +453,10 @@ CHARGE_CFG = {
         pytest.param(("context", "label"), True, "1,0,0", id="label-bool"),
         # a label that is not one printable line would forge stderr lines
         pytest.param(("context", "label"), "X\nerror: fake", "1,0,0", id="label-newline"),
+        # a literal's digits are ASCII: other Unicode decimal digits are refused
+        pytest.param(None, None, "\u0661,0,0", id="arabic-indic-class"),
+        pytest.param(("context", "n"), "\u0663", "1,0,0", id="arabic-indic-n"),
+        pytest.param(("charge", "t"), "\uff11\uff12*sqrt3", "1,0,0", id="fullwidth-t"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, leaf, value, cls):
@@ -492,6 +496,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, 
         assert err == f"error: context.label: want {want}, got {value!r}\n"
     if (leaf, value) == (("context", "n"), "1"):  # chi = 1/2: the error, not the advisory
         assert err.startswith("error: class: ")
+    if not f"{value}{cls}".isascii():
+        assert "bad rational literal" in err
 
 
 # one valid config holding every block; each verb reads the blocks it needs

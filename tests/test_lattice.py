@@ -57,6 +57,11 @@ def test_labels_are_cosmetic():
     assert a.matches(b)
     # classes on matching contexts interoperate
     assert mul(structure_sheaf(a), skyscraper(b)) == skyscraper(a)
+    # but a sum takes its left operand's context, label included, and the
+    # label counts in equality, so + is not commutative across labels
+    e, f = structure_sheaf(a), skyscraper(b)
+    assert (e + f).ctx is e.ctx and (f + e).ctx is f.ctx
+    assert e + f != f + e and (e + f).c == (f + e).c
 
 
 def test_context_mismatch_raises():

@@ -262,44 +262,60 @@ def pell_reference(q):
 
 @settings(max_examples=150, deadline=None)
 @given(pairs, pairs, operands, complex_operands, st.lists(big_fractions, min_size=6, max_size=6),
-       st.one_of(st.integers(), big_fractions), st.integers(0, 40), st.sampled_from([1, -1]))
-def test_exact_operators_match_the_fraction_pair_model(x, x2, v, w, coeffs, lam, n, sign):
+       st.one_of(st.integers(), big_fractions), st.integers(0, 40), st.sampled_from([1, -1]),
+       st.integers(-(10**30), 10**30), st.integers(-(10**400), 10**400), st.integers(1, 10**400))
+def test_exact_operators_match_the_fraction_pair_model(x, x2, v, w, coeffs, lam, n, sign, m, p, p_den):
     ops = {
         "+": (operator.add, padd, lambda z, u: (padd(z[0], u[0]), padd(z[1], u[1]))),
         "-": (operator.sub, psub, lambda z, u: (psub(z[0], u[0]), psub(z[1], u[1]))),
         "*": (operator.mul, ref_mul, cmul),
         "/": (operator.truediv, ref_div, cdiv),
     }
-    # Q3 against int, Fraction or Q3, in both orders
-    q, y = Q3(*x), model(v)
-    for left, right, lm, rm in ((q, v, x, y), (v, q, y, x)):
-        for name, (op, ref, _) in ops.items():
-            if name == "/" and rm == ZERO:
-                with pytest.raises(ZeroDivisionError):
-                    op(left, right)
-                continue
-            got = op(left, right)
-            assert type(got) is Q3 and model(got) == ref(lm, rm)
-        diff = ref_sign(psub(lm, rm))
-        assert (left == right, left != right) == (diff == 0, diff != 0)
-        assert (left < right, left <= right) == (diff < 0, diff <= 0)
-        assert (left > right, left >= right) == (diff > 0, diff >= 0)
-    # SurdComplex against SurdComplex or a real operand, in both orders
-    z, zw = SurdComplex(q, Q3(*x2)), cmodel(w)
-    for left, right, lm, rm in ((z, w, cmodel(z), zw), (w, z, zw, cmodel(z))):
-        for name, (op, _, ref) in ops.items():
-            if name == "/" and rm == (ZERO, ZERO):
-                with pytest.raises(ZeroDivisionError):
-                    op(left, right)
-                continue
-            got = op(left, right)
-            assert type(got) is SurdComplex and model(got) == ref(lm, rm)
-        assert (left == right) == (lm == rm)
-    # CohClass: + and - with a class, * with an int or Fraction, in both orders
-    e, f = CohClass(CTX, coeffs[:3]), CohClass(CTX, coeffs[3:])
-    assert (e + f).c == tuple(a + b for a, b in zip(coeffs[:3], coeffs[3:]))
-    assert (e - f).c == tuple(a - b for a, b in zip(coeffs[:3], coeffs[3:]))
-    assert (e - f) + f == e and ((e == f) == (coeffs[:3] == coeffs[3:]))
+    # Q3 against int, Fraction or Q3, in both orders; also against a Fraction
+    # and a Q3 over q's own denominator (1 + d*m is prime to d)
+    q = Q3(*x)
+    d = q._abd[2]
+    shared = (Fraction(1 + d * m, d), Q3(Fraction(1 + d * m, d), Fraction(m, d)))
+    assert shared[0].denominator == shared[1]._abd[2] == d
+    for u in (v,) + shared:
+        y = model(u)
+        for left, right, lm, rm in ((q, u, x, y), (u, q, y, x)):
+            for name, (op, ref, _) in ops.items():
+                if name == "/" and rm == ZERO:
+                    with pytest.raises(ZeroDivisionError):
+                        op(left, right)
+                    continue
+                got = op(left, right)
+                assert type(got) is Q3 and model(got) == ref(lm, rm)
+            diff = ref_sign(psub(lm, rm))
+            assert (left == right, left != right) == (diff == 0, diff != 0)
+            assert (left < right, left <= right) == (diff < 0, diff <= 0)
+            assert (left > right, left >= right) == (diff > 0, diff >= 0)
+    # SurdComplex against SurdComplex or a real operand, in both orders; a
+    # real operand both coerced and built as SurdComplex(v, Q3(0))
+    z = SurdComplex(q, Q3(*x2))
+    for w in (w, v, SurdComplex(v, Q3(0))):
+        zw = cmodel(w)
+        for left, right, lm, rm in ((z, w, cmodel(z), zw), (w, z, zw, cmodel(z))):
+            for name, (op, _, ref) in ops.items():
+                if name == "/" and rm == (ZERO, ZERO):
+                    with pytest.raises(ZeroDivisionError):
+                        op(left, right)
+                    continue
+                got = op(left, right)
+                assert type(got) is SurdComplex and model(got) == ref(lm, rm)
+            assert (left == right) == (lm == rm)
+    # CohClass: + and - with a class, also one over e's own denominator, *
+    # with an int or Fraction, in both orders
+    e = CohClass(CTX, coeffs[:3])
+    D = e._den
+    same_den = [Fraction(1 + D * m, D), Fraction(m, D), Fraction(sign * n, D)]
+    assert CohClass(CTX, same_den)._den == D
+    for fc in (coeffs[3:], same_den):
+        f = CohClass(CTX, fc)
+        assert (e + f).c == tuple(a + b for a, b in zip(coeffs[:3], fc))
+        assert (e - f).c == tuple(a - b for a, b in zip(coeffs[:3], fc))
+        assert (e - f) + f == e and ((e == f) == (coeffs[:3] == fc))
     assert (e * lam).c == (lam * e).c == tuple(lam * a for a in coeffs[:3])
     # equal int, Fraction, Q3 and SurdComplex values hash alike
     r = x[0]
@@ -327,6 +343,14 @@ def test_exact_operators_match_the_fraction_pair_model(x, x2, v, w, coeffs, lam,
         u = u * Q3(2, sign)
     want = pell_reference(u)
     assert want > 0 and abs(float(u) - want) <= math.ulp(want)
+    # float of a rational is p/q correctly rounded, or overflows like it
+    try:
+        want = p / p_den
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(Q3(Fraction(p, p_den)))
+    else:
+        assert float(Q3(Fraction(p, p_den))) == want
 
 
 def test_q3_is_canonical_and_immutable():
