@@ -35,6 +35,22 @@ _FORMATS = ("csv", "json", "svg")
 _SUITES = ("lattice", "transform", "law", "bg", "all")
 
 
+_INT_LITERAL = re.compile(r"-?[0-9]+")
+
+
+def _int_literal(text: str) -> int:
+    """A --k value: an optional "-" and ASCII digits, the literal grammar's
+    rule.  int() alone would also take other Unicode digits, "+", "_" and
+    whitespace at the ends."""
+    if not _INT_LITERAL.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in its one-line error: "invalid int value: 'x'"
+_int_literal.__name__ = "int"
+
+
 def _out_path(out: str) -> Path:
     """Resolve --out against ABELFM_OUT_DIR when the path is relative."""
     base = os.environ.get("ABELFM_OUT_DIR")
@@ -242,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charge", help="evaluate the level-k charge of a class")
     add_config(p)
     p.add_argument("--class", dest="cls", required=True, help='class literal "c0,c1,...,cg"')
-    p.add_argument("--k", type=int, default=None, help="override the config charge level")
+    p.add_argument("--k", type=_int_literal, default=None, help="override the config charge level")
     p.set_defaults(func=_cmd_charge)
 
     p = sub.add_parser("zeta", help="exact polar factor of the induced charge relation")
@@ -252,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="matched polarization pair and transport verdicts")
     add_config(p)
-    p.add_argument("--k", type=int, required=True, help="angle numerator, angle = k*pi/g")
+    p.add_argument("--k", type=_int_literal, required=True, help="angle numerator, angle = k*pi/g")
     p.add_argument("--lambda", dest="lam", required=True, help="polar modulus, rational > 0")
     p.set_defaults(func=_cmd_params)
 

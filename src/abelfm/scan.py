@@ -33,6 +33,12 @@ at every grid point flags the dataset as degenerate; R_v and I_v are
 evaluated down the columns only until the first point where one of them
 is nonzero.
 
+recheck_walls walks the emitted cells in order and computes each charge it
+needs once per call: one probe charge per distinct cell corner, and one
+wall charge per distinct (wall, corner).  That is at most 8 public charge
+calls per cell and at most walls + 1 per grid point; along a wall curve,
+where neighbouring cells share corners, it is about 4 per cell.
+
 Emission is byte-deterministic: fixed orderings, exact "p/q" encodings in
 CSV and JSON, fixed float formatting in SVG.  The JSON text is the
 dataset's record as json.dumps(..., sort_keys=True, indent=2) writes it;
@@ -50,7 +56,7 @@ from math import gcd, lcm
 from .lattice import AbelianContext, CohClass, _require_match
 from .literals import format_rational_frac
 from .stability import ChargeSpec, _charge_ints, _check_level, charge
-from .surd import as_fraction
+from .surd import SurdComplex, as_fraction
 
 
 @dataclass(frozen=True)
@@ -229,25 +235,35 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
     ts = _grid(req.t_range[0], req.t_range[1], nt)
     b_index = {b: i for i, b in enumerate(bs)}
     t_index = {t: j for j, t in enumerate(ts)}
+    # filled lazily in cell order, so a bad dataset stops at the same cell;
+    # grid point -> (spec, probe charge), and (wall, point) -> sign of W
+    probe: dict[tuple[int, int], tuple[ChargeSpec, SurdComplex]] = {}
+    signs: dict[tuple[int, int, int], int] = {}
 
-    def wall_sign(w: CohClass, b: Fraction, t: Fraction) -> int:
-        spec = ChargeSpec(req.ctx, req.k, b, t)
-        zw = charge(spec, w)
-        zv = charge(spec, req.v)
-        val = zw.re * zv.im - zv.re * zw.im
-        return val.sign()
+    def wall_sign(wi: int, x: int, y: int) -> int:
+        key = (wi, x, y)
+        s = signs.get(key)
+        if s is None:
+            at = probe.get((x, y))
+            if at is None:
+                spec = ChargeSpec(req.ctx, req.k, bs[x], ts[y])
+                at = probe[x, y] = (spec, charge(spec, req.v))
+            spec, zv = at
+            zw = charge(spec, req.walls[wi])
+            s = signs[key] = (zw.re * zv.im - zv.re * zw.im).sign()
+        return s
 
     for cell in ds.cells:
         x = b_index.get(cell.b)
         y = t_index.get(cell.t)
         if x is None or y is None or x + 1 >= nb or y + 1 >= nt:
             return RecheckFailure(cell, None)
-        w = req.walls[cell.w_index]
+        wi = cell.w_index
         quad = (
-            wall_sign(w, bs[x], ts[y]),
-            wall_sign(w, bs[x + 1], ts[y]),
-            wall_sign(w, bs[x], ts[y + 1]),
-            wall_sign(w, bs[x + 1], ts[y + 1]),
+            wall_sign(wi, x, y),
+            wall_sign(wi, x + 1, y),
+            wall_sign(wi, x, y + 1),
+            wall_sign(wi, x + 1, y + 1),
         )
         if not _crosses(quad):
             return RecheckFailure(cell, quad)
@@ -257,7 +273,11 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
 def recheck_walls(ds: WallDataset) -> bool:
     """Independent soundness pass: recompute the four corner values of every
     emitted cell through the public exact charge (rotation included) and
-    confirm the sign-change predicate.  Returns True when every cell passes."""
+    confirm the sign-change predicate.  Returns True when every cell passes.
+
+    Each charge is computed once per call: one probe charge per distinct
+    corner plus one wall charge per distinct (wall, corner), at most 8 per
+    cell and at most walls + 1 per grid point."""
     return _first_bad_cell(ds) is None
 
 

@@ -457,6 +457,12 @@ CHARGE_CFG = {
         pytest.param(None, None, "\u0661,0,0", id="arabic-indic-class"),
         pytest.param(("context", "n"), "\u0663", "1,0,0", id="arabic-indic-n"),
         pytest.param(("charge", "t"), "\uff11\uff12*sqrt3", "1,0,0", id="fullwidth-t"),
+        # --k is an optional "-" and ASCII digits, as a literal's integer part
+        pytest.param("argv", ("--k", "\u0661"), "1,0,0", id="arabic-indic-k"),
+        pytest.param("argv", ("--k", "\uff12"), "1,0,0", id="fullwidth-k"),
+        pytest.param("argv", ("--k", " +1"), "1,0,0", id="space-plus-k"),
+        pytest.param("argv", ("--k", "+1"), "1,0,0", id="plus-k"),
+        pytest.param("argv", ("--k", "1_0"), "1,0,0", id="underscore-k"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, leaf, value, cls):
@@ -496,7 +502,9 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, 
         assert err == f"error: context.label: want {want}, got {value!r}\n"
     if (leaf, value) == (("context", "n"), "1"):  # chi = 1/2: the error, not the advisory
         assert err.startswith("error: class: ")
-    if not f"{value}{cls}".isascii():
+    if leaf == "argv" and value[0] == "--k" and len(value) == 2:
+        assert err == f"error: argument --k: invalid int value: {value[1]!r}\n"
+    elif not f"{value}{cls}".isascii():
         assert "bad rational literal" in err
 
 

@@ -3,12 +3,16 @@
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelfm.scan
+from abelfm.config import context_from, load_config, scan_from
 from abelfm.lattice import (
     AbelianContext,
     CohClass,
@@ -234,6 +238,119 @@ def test_recheck_passes_and_catches_corruption():
     off = WallCell(0, F(3, 2), F(1, 2))
     assert not recheck_walls(with_extra(off))
     assert first_bad_cell(with_extra(off)) == RecheckFailure(off, None)
+
+
+def _example_dataset():
+    cfg = load_config(Path(__file__).parent / "data" / "example_scan.json")
+    return scan_walls(scan_from(cfg, context_from(cfg)))
+
+
+def _grid_axes(req):
+    """The grid's b and t values, computed here rather than by the scanner."""
+    nb, nt = req.resolution
+    (b0, b1), (t0, t1) = req.b_range, req.t_range
+    return ([b0 + i * (b1 - b0) / (nb - 1) for i in range(nb)],
+            [t0 + j * (t1 - t0) / (nt - 1) for j in range(nt)])
+
+
+def _first_bad_cell_reference(ds):
+    """The recheck one cell at a time, sharing nothing between cells: two
+    public charge calls at each of the four corners."""
+    req = ds.request
+    bs, ts = _grid_axes(req)
+
+    def sign(w, b, t):
+        spec = ChargeSpec(req.ctx, req.k, b, t)
+        zw, zv = charge(spec, w), charge(spec, req.v)
+        return (zw.re * zv.im - zv.re * zw.im).sign()
+
+    for cell in ds.cells:
+        if cell.b not in bs[:-1] or cell.t not in ts[:-1]:
+            return RecheckFailure(cell, None)
+        x, y = bs.index(cell.b), ts.index(cell.t)
+        w = req.walls[cell.w_index]
+        quad = (sign(w, bs[x], ts[y]), sign(w, bs[x + 1], ts[y]),
+                sign(w, bs[x], ts[y + 1]), sign(w, bs[x + 1], ts[y + 1]))
+        if len(set(quad)) == 1:
+            return RecheckFailure(cell, quad)
+    return None
+
+
+def _corrupted_examples():
+    """(dataset, first inserted cell, whether it is a grid cell) for seeded
+    corruptions of the shipped example: a grid cell it does not emit (all
+    four corner signs equal), an off-grid cell, a cell in the last grid
+    column or row, and two non-emitted cells at once."""
+    ds = _example_dataset()
+    req = ds.request
+    nb, nt = req.resolution
+    bs, ts = _grid_axes(req)
+    emitted = set(ds.cells)
+    rng = random.Random("recheck-parity")
+
+    def quiet_cell():
+        while True:
+            cell = WallCell(rng.randrange(len(req.walls)), bs[rng.randrange(nb - 1)],
+                            ts[rng.randrange(nt - 1)])
+            if cell not in emitted:
+                return cell
+
+    def off_grid():
+        x, y = rng.randrange(nb - 1), rng.randrange(nt - 1)
+        return WallCell(rng.randrange(len(req.walls)), (bs[x] + bs[x + 1]) / 2, ts[y])
+
+    def last_row_or_column():
+        if rng.random() < 0.5:
+            return WallCell(rng.randrange(len(req.walls)), bs[-1], ts[rng.randrange(nt)])
+        return WallCell(rng.randrange(len(req.walls)), bs[rng.randrange(nb)], ts[-1])
+
+    def inserted(extra, on_grid):
+        cells = list(ds.cells)
+        at = sorted(rng.randrange(len(cells) + 1) for _ in extra)
+        for shift, (i, cell) in enumerate(zip(at, extra)):
+            cells.insert(i + shift, cell)
+        return replace(ds, cells=tuple(cells)), extra[0], on_grid
+
+    for _ in range(6):
+        yield inserted([quiet_cell()], True)
+        yield inserted([off_grid()], False)
+        yield inserted([last_row_or_column()], False)
+        yield inserted([quiet_cell(), quiet_cell()], True)
+
+
+def test_recheck_matches_the_per_cell_reference():
+    ds = _example_dataset()
+    assert first_bad_cell(ds) is None and _first_bad_cell_reference(ds) is None
+    for bad, first, on_grid in _corrupted_examples():
+        got = first_bad_cell(bad)
+        assert got == _first_bad_cell_reference(bad)
+        assert got.cell == first
+        if on_grid:
+            assert len(set(got.corners)) == 1 and got.corners[0] != 0
+        else:
+            assert got.corners is None
+
+
+def test_recheck_charges_each_corner_once(monkeypatch):
+    # one probe charge per distinct corner, one wall charge per distinct
+    # (wall, corner); the per-cell reference makes 8 calls a cell, 2,768 here
+    ds = _example_dataset()
+    req = ds.request
+    bs, ts = _grid_axes(req)
+    corners = {(c.w_index, bs[bs.index(c.b) + i], ts[ts.index(c.t) + j])
+               for c in ds.cells for i in (0, 1) for j in (0, 1)}
+    assert len(ds.cells) == 346
+    assert len({(b, t) for _, b, t in corners}) == 668 and len(corners) == 696
+    calls = {"probe": 0, "wall": 0}
+    public = abelfm.scan.charge
+
+    def counting(spec, e):
+        calls["probe" if e == req.v else "wall"] += 1
+        return public(spec, e)
+
+    monkeypatch.setattr(abelfm.scan, "charge", counting)
+    assert recheck_walls(ds)
+    assert calls == {"probe": 668, "wall": 696}
 
 
 def test_csv_shape():
