@@ -10,9 +10,10 @@ Blocks, all optional unless a verb needs them:
                 "b_range": ["-2", "2"], "t_range": ["1/100", "2"],
                 "resolution": [200, 200]}
 
-Every numeric leaf is an exact rational string; nothing in a config is ever
-parsed as a float.  A bad leaf is named <block>.<key>, and a rule that spans
-the leaves of one block is named <block>.
+Keys are unique at every depth.  Every numeric leaf is an exact rational
+string; nothing in a config is ever parsed as a float.  A bad leaf is named
+<block>.<key>, and a rule that spans the leaves of one block is named
+<block>.
 """
 
 from __future__ import annotations
@@ -40,10 +41,23 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json keeps the last of a
+    repeated key without a word."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = val
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     except RecursionError:
         raise ConfigError(f"config {path}: invalid JSON (nested too deeply)") from None
     except UnicodeDecodeError as exc:

@@ -19,19 +19,23 @@ The scanner makes one pass over the b columns of the grid, with every
 coordinate cleared to an integer by one common scale.  Per column it
 expands each class's P at b + i*T in T by repeated synthetic division,
 P(b + i*T) = R(T^2) + i*T*I(T^2), and forms Q = R_w * I_v - R_v * I_w, so
-that W = T * Q(T^2).  T > 0 on the grid, so sign W = sign Q(T^2): one
-integer Horner pass of degree at most k - 1 per wall and grid point, on
-the precomputed squares of the grid's t values.  That is about walls * k^2
-big-integer operations per column plus walls * k per grid point.  The
+that W = T * Q(T^2).  T > 0 on the grid, so sign W = sign Q(T^2), taken
+on the precomputed squares of the grid's t values.  Q has degree at most
+k - 1.  At k <= 2 it changes sign at most once down a column, so its signs
+are read off its one root, ceil(-q0/q1), by one bisection of the squares;
+every level-2 wall is a semicircle centred on the b axis or a vertical
+line.  At k >= 3 one integer Horner pass runs per wall and grid point.
+That is about walls * k^2 big-integer operations per column, plus one
+bisection per wall at k <= 2 or walls * k per grid point at k >= 3.  The
 scanner keeps only the current and the previous column of signs per wall,
 and emits each cell between them whose four corner signs are not all equal
 (two corners of strict opposite sign, or a zero corner next to a nonzero
-one).  Memory is O(walls * nt + cells), independent of the number of b
-columns.  A wall class proportional to the probe gives Q = 0; it is
-flagged trivial and contributes no cells.  A probe whose charge vanishes
-at every grid point flags the dataset as degenerate; R_v and I_v are
-evaluated down the columns only until the first point where one of them
-is nonzero.
+one); that cell pass visits every grid point of every wall.  Memory is
+O(walls * nt + cells), independent of the number of b columns.  A wall
+class proportional to the probe gives Q = 0; it is flagged trivial and
+contributes no cells.  A probe whose charge vanishes at every grid point
+flags the dataset as degenerate; R_v and I_v are evaluated down the
+columns only until the first point where one of them is nonzero.
 
 recheck_walls walks the emitted cells in order and computes each charge it
 needs once per call: one probe charge per distinct cell corner, and one
@@ -49,6 +53,7 @@ per cell, so its peak memory is about its output plus one string per cell.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -167,6 +172,21 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+def _linear_signs(q: list[int], ss: list[int]) -> list[int]:
+    """[_sign(_horner(q, s)) for s in ss] for a Q of degree at most 1, read
+    off its one root: ss increases, so the signs run -, then at most one 0,
+    then + once Q is normalised to q1 > 0."""
+    q0, q1 = (*q, 0)[:2]
+    if q1 == 0:
+        return [_sign(q0)] * len(ss)
+    d = _sign(q1)
+    q0, q1 = d * q0, d * q1
+    c = -(q0 // q1)  # the least integer s with q0 + q1*s >= 0
+    i = bisect_left(ss, c)
+    j = i + (i < len(ss) and ss[i] == c and q0 % q1 == 0)
+    return [-d] * i + [0] * (j - i) + [d] * (len(ss) - j)
+
+
 def _crosses(quad) -> bool:
     """The cell predicate: the four corner signs are not all equal."""
     s = quad[0]
@@ -201,7 +221,10 @@ def scan_walls(req: ScanRequest) -> WallDataset:
         for pw in pws:
             rw, iw = _column_parts(pw, bi[x])
             q = [a - c for a, c in zip(_mul(rw, iv), _mul(rv, iw))]
-            col.append([_sign(_horner(q, s)) for s in ss])
+            if len(q) <= 2:  # every level k <= 2
+                col.append(_linear_signs(q, ss))
+            else:
+                col.append([_sign(_horner(q, s)) for s in ss])
         nonzero = [seen or any(signs) for seen, signs in zip(nonzero, col)]
         if prev is not None:
             b = bs[x - 1]

@@ -463,6 +463,13 @@ CHARGE_CFG = {
         pytest.param("argv", ("--k", " +1"), "1,0,0", id="space-plus-k"),
         pytest.param("argv", ("--k", "+1"), "1,0,0", id="plus-k"),
         pytest.param("argv", ("--k", "1_0"), "1,0,0", id="underscore-k"),
+        # keys are unique at every depth; json alone keeps the last of a pair
+        pytest.param("duplicate", (b'"label": "X"}', b'"label": "X", "n": "3"}', "n"),
+                     "1,0,0", id="duplicate-context-key"),
+        pytest.param("duplicate", (b"}}", b'}, "charge": {"k": 2, "b": "0", "t": "1"}}', "charge"),
+                     "1,0,0", id="duplicate-block"),
+        pytest.param("duplicate", (b'"t": "1"}', b'"t": "1", "x": [{"y": 1, "y": 1}]}', "y"),
+                     "1,0,0", id="duplicate-nested-key"),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, leaf, value, cls):
@@ -480,6 +487,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, 
         data = data.replace(b'"b": "0"', b'"b": ' + b"9" * 5000)
     elif leaf == "not-utf8":
         data = data.replace(b'"X"', b'"\xff"')
+    elif leaf == "duplicate":
+        data = data.replace(*value[:2])
     path = tmp_path / "cfg.json"
     path.write_bytes(data)
     extra = list(value) if leaf == "argv" else []
@@ -490,6 +499,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, int_str_limit, 
     assert err.startswith("error: ")
     if leaf in ("huge-int", "huge-json-int", "not-utf8"):
         assert err.startswith(f"error: config {path}: ")
+    if leaf == "duplicate":
+        assert err == f"error: config {path}: duplicate key {value[2]!r}\n"
     if leaf in ("huge-int", "huge-class", "huge-json-int") or value == "9" * 5000:
         assert "an input number exceeds the int-to-str limit (4300 digits)" in err
         assert "PYTHONINTMAXSTRDIGITS" in err and "set_int_max_str_digits" not in err

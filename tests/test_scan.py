@@ -1,5 +1,6 @@
 """Wall scanner: exact sign-change detection, flags, emission formats."""
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import abelfm.scan
 from abelfm.config import context_from, load_config, scan_from
@@ -27,6 +28,9 @@ from abelfm.scan import (
     WallCell,
     WallDataset,
     _crosses,
+    _horner,
+    _linear_signs,
+    _sign,
     emit,
     emit_csv,
     emit_json,
@@ -161,28 +165,45 @@ def _level_two_coeffs(e):
     return c[0] / factorial(g), -c[1] / factorial(g - 1), c[2] / factorial(g - 2)
 
 
+def _level_two_circle(v, w):
+    """(A, B, C) with sign W = sign(A (b^2 + t^2) + B b + C) at level 2."""
+    av, bv, cv = _level_two_coeffs(v)
+    aw, bw, cw = _level_two_coeffs(w)
+    return av * bw - aw * bv, 2 * (av * cw - aw * cv), bv * cw - bw * cv
+
+
 def _random_classes(rng, ctx, count):
     return [CohClass(ctx, [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ctx.g + 1)])
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("g", range(2, 7))
+def _scaled_classes(rng, ctx, count):
+    """Random classes with c_i = r_i (g - i)! for i <= 2, r_i small and
+    nonzero: P(beta) = r_0 beta^2 - r_1 beta + r_2 at every g, so level-2
+    circles cross a small window however large g is."""
+    g = ctx.g
+    return [CohClass(ctx, [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)) * factorial(g - i)
+                           for i in range(3)]
+                     + [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(g - 2)])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("g", [*range(2, 7), 30, 100])
 def test_level_two_walls_are_semicircles_at_every_g(g):
     # W = |beta|^(2(g-2)) Im(P_v conj P_w) up to a positive factor, and
     # Im(P_v conj P_w) = t (A (b^2 + t^2) + B b + C); t > 0 on the grid, so
     # every wall is a semicircle centred on the b axis or a vertical line
     rng = random.Random(f"semicircles:{g}")
     ctx = AbelianContext(g, F(factorial(g)))
-    v, *walls = _random_classes(rng, ctx, 5)
+    # small random classes put every centre far outside the window at large g
+    v, *walls = (_random_classes if g <= 6 else _scaled_classes)(rng, ctx, 5)
     nb, nt = 13, 11
     req = ScanRequest(ctx, 2, v, tuple(walls), (F(-2), F(2)), (F(1, 10), F(2)), (nb, nt))
     bs = [F(-2) + F(4, nb - 1) * i for i in range(nb)]
     ts = [F(1, 10) + F(19, 10 * (nt - 1)) * j for j in range(nt)]
-    av, bv, cv = _level_two_coeffs(v)
     want = set()
     for wi, w in enumerate(walls):
-        aw, bw, cw = _level_two_coeffs(w)
-        A, B, C = av * bw - aw * bv, 2 * (av * cw - aw * cv), bv * cw - bw * cv
+        A, B, C = _level_two_circle(v, w)
         circle = {(x, y): A * (bs[x] ** 2 + ts[y] ** 2) + B * bs[x] + C
                   for x in range(nb) for y in range(nt)}
         sign = {xy: (val > 0) - (val < 0) for xy, val in circle.items()}
@@ -194,6 +215,27 @@ def test_level_two_walls_are_semicircles_at_every_g(g):
     ds = scan_walls(req)
     assert {(c.w_index, c.b, c.t) for c in ds.cells} == want
     assert len({wi for wi, _, _ in want}) >= 2  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_level_two_walls_through_grid_points_match_dense_reference(g):
+    # against v = O_X every level-2 wall is a circle through b = 0, and with
+    # c_i in {-1, 0, 1/2, 1} many pass exactly through points of this
+    # quarter-step grid: a column's root lands on a grid square, and its zero
+    # sign decides the cells
+    ctx = AbelianContext(g, F(1))
+    v = structure_sheaf(ctx)
+    bs = [F(-2) + F(i, 4) for i in range(17)]
+    ts = [F(1, 4) + F(j, 4) for j in range(8)]
+    through = 0
+    for c in itertools.product([F(-1), F(0), F(1, 2), F(1)], repeat=3):
+        w = CohClass(ctx, [*c] + [F(0)] * (g - 2))
+        req = ScanRequest(ctx, 2, v, (w,), (F(-2), F(2)), (F(1, 4), F(2)), (17, 8))
+        ds = scan_walls(req)
+        assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
+        A, B, C = _level_two_circle(v, w)
+        through += A != 0 and any(A * (b * b + t * t) + B * b + C == 0 for b in bs for t in ts)
+    assert through >= 16  # circles through grid points: 36 at g = 2, 28 at g = 3
 
 
 @pytest.mark.parametrize("g", range(1, 7))
@@ -551,6 +593,40 @@ def test_scan_matches_dense_reference(req):
     # completeness as well as soundness: no cell missing, none extra
     ds = scan_walls(req)
     assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
+
+
+@st.composite
+def linear_columns(draw):
+    """(q, ss): a Q of degree at most 1 and increasing grid squares, with
+    Q's root anywhere, on a grid square, next to one, below or above them."""
+    ss = sorted({t * t for t in draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=12))})
+    big = st.integers(-10**60, 10**60)
+    q1 = draw(st.sampled_from([0, 1, -1, 2, -3]) | big)
+    where = draw(st.sampled_from(["anywhere", "on", "below", "above"]))
+    if where == "anywhere":
+        q0 = draw(st.just(0) | big)
+    else:
+        if where == "on":
+            root = draw(st.sampled_from(ss))
+        elif where == "below":
+            root = ss[0] - draw(st.integers(1, 10**6))
+        else:
+            root = ss[-1] + draw(st.integers(1, 10**6))
+        # an offset moves the root just off the square when |q1| > 1
+        q0 = -q1 * root + draw(st.sampled_from([0, 0, 1, -1]))
+    return ([q0, q1] if q1 or draw(st.booleans()) else [q0]), ss
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_columns())
+@example(([-8, 2], [1, 4, 9]))  # root 4, on a square
+@example(([-7, 2], [1, 4, 9]))  # root 7/2: its ceiling 4 is a square, yet no 0
+@example(([-6, 2], [1, 4, 9]))  # root 3, between squares
+@example(([8, -2], [1, 4, 9]))  # q1 < 0
+@example(([0, 0], [1, 4, 9]))  # Q = 0
+def test_linear_signs_match_horner(case):
+    q, ss = case
+    assert _linear_signs(q, ss) == [_sign(_horner(q, s)) for s in ss]
 
 
 @pytest.mark.parametrize("g,k", [(8, 2), (8, 5), (10, 3), (10, 9), (12, 4), (12, 7)])
