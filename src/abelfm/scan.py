@@ -21,21 +21,27 @@ expands each class's P at b + i*T in T by repeated synthetic division,
 P(b + i*T) = R(T^2) + i*T*I(T^2), and forms Q = R_w * I_v - R_v * I_w, so
 that W = T * Q(T^2).  T > 0 on the grid, so sign W = sign Q(T^2), taken
 on the precomputed squares of the grid's t values.  Q has degree at most
-k - 1.  At k <= 2 it changes sign at most once down a column, so its signs
-are read off its one root, ceil(-q0/q1), by one bisection of the squares;
-every level-2 wall is a semicircle centred on the b axis or a vertical
-line.  At k >= 3 one integer Horner pass runs per wall and grid point.
-That is about walls * k^2 big-integer operations per column, plus one
-bisection per wall at k <= 2 or walls * k per grid point at k >= 3.  The
-scanner keeps only the current and the previous column of signs per wall,
-and emits each cell between them whose four corner signs are not all equal
-(two corners of strict opposite sign, or a zero corner next to a nonzero
-one); that cell pass visits every grid point of every wall.  Memory is
-O(walls * nt + cells), independent of the number of b columns.  A wall
-class proportional to the probe gives Q = 0; it is flagged trivial and
-contributes no cells.  A probe whose charge vanishes at every grid point
-flags the dataset as degenerate; R_v and I_v are evaluated down the
-columns only until the first point where one of them is nonzero.
+k - 1.  A wall's column is held as a short list of (start row, sign)
+runs.  At k <= 2 Q changes sign at most once down a column, so its runs
+(-, at most one 0, +) are read off its one root, ceil(-q0/q1), by one
+bisection of the squares; every level-2 wall is a semicircle centred on
+the b axis or a vertical line.  At k >= 3 one integer Horner pass runs per
+wall and grid point.  That is about walls * k^2 big-integer operations per
+column, plus one bisection per wall at k <= 2 or walls * k per grid point
+at k >= 3.  The scanner keeps the runs of the current and the previous
+column per wall, and emits each cell between them whose four corner signs
+are not all equal (two corners of strict opposite sign, or a zero corner
+next to a nonzero one).  The cell pass merges the two columns'
+breakpoints: between two of them both columns are constant, so every row
+is a cell when their signs differ and none is otherwise, and only the row
+below each breakpoint is tested.  Per column pair that is
+O(runs + cells), not O(nt).  Memory is O(walls * runs + cells) plus the nt
+squares, independent of the number of b columns.  A wall class
+proportional to the probe gives Q = 0; it is flagged trivial (it has no
+nonzero run) and contributes no cells.  A probe whose charge vanishes at
+every grid point flags the dataset as degenerate; R_v and I_v are
+evaluated down the columns only until the first point where one of them is
+nonzero.
 
 recheck_walls walks the emitted cells in order and computes each charge it
 needs once per call: one probe charge per distinct cell corner, and one
@@ -172,25 +178,64 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _linear_signs(q: list[int], ss: list[int]) -> list[int]:
-    """[_sign(_horner(q, s)) for s in ss] for a Q of degree at most 1, read
-    off its one root: ss increases, so the signs run -, then at most one 0,
-    then + once Q is normalised to q1 > 0."""
+def _runs(q: list[int], ss: list[int]) -> list[tuple[int, int]]:
+    """The signs of Q on the increasing squares ss as runs (start row,
+    sign): the first starts at row 0, and neighbouring runs differ in sign.
+
+    A Q of degree at most 1 is read off its one root: normalised to
+    q1 > 0, its signs run -, then at most one 0, then +.  A Q of higher
+    degree is evaluated at every square."""
+    if len(q) > 2:
+        runs: list[tuple[int, int]] = []
+        for y, s in enumerate(ss):
+            sg = _sign(_horner(q, s))
+            if not runs or runs[-1][1] != sg:
+                runs.append((y, sg))
+        return runs
     q0, q1 = (*q, 0)[:2]
     if q1 == 0:
-        return [_sign(q0)] * len(ss)
+        return [(0, _sign(q0))]
     d = _sign(q1)
     q0, q1 = d * q0, d * q1
     c = -(q0 // q1)  # the least integer s with q0 + q1*s >= 0
     i = bisect_left(ss, c)
     j = i + (i < len(ss) and ss[i] == c and q0 % q1 == 0)
-    return [-d] * i + [0] * (j - i) + [d] * (len(ss) - j)
+    starts = (0, i, j, len(ss))
+    return [(starts[r], sg) for r, sg in enumerate((-d, 0, d)) if starts[r] < starts[r + 1]]
 
 
 def _crosses(quad) -> bool:
     """The cell predicate: the four corner signs are not all equal."""
     s = quad[0]
     return quad[1] != s or quad[2] != s or quad[3] != s
+
+
+def _cell_rows(col0: list[tuple[int, int]], col1: list[tuple[int, int]], nt: int) -> list[int]:
+    """The rows y < nt - 1 whose cell between two neighbouring columns of
+    runs crosses, in increasing order.
+
+    Between two breakpoints of either column both are constant, so every
+    row there is a cell when their signs differ and none is otherwise; only
+    the row below each breakpoint needs the predicate."""
+    rows: list[int] = []
+    i = j = lo = 0
+    a, b = col0[0][1], col1[0][1]
+    while True:
+        ea = col0[i + 1][0] if i + 1 < len(col0) else nt
+        eb = col1[j + 1][0] if j + 1 < len(col1) else nt
+        hi = min(ea, eb)
+        if a != b:
+            rows.extend(range(lo, hi - 1))
+        if hi == nt:
+            return rows
+        if ea == hi:
+            i += 1
+        if eb == hi:
+            j += 1
+        a1, b1 = col0[i][1], col1[j][1]
+        if _crosses((a, b, a1, b1)):
+            rows.append(hi - 1)
+        lo, a, b = hi, a1, b1
 
 
 def scan_walls(req: ScanRequest) -> WallDataset:
@@ -220,19 +265,12 @@ def scan_walls(req: ScanRequest) -> WallDataset:
         col = []
         for pw in pws:
             rw, iw = _column_parts(pw, bi[x])
-            q = [a - c for a, c in zip(_mul(rw, iv), _mul(rv, iw))]
-            if len(q) <= 2:  # every level k <= 2
-                col.append(_linear_signs(q, ss))
-            else:
-                col.append([_sign(_horner(q, s)) for s in ss])
-        nonzero = [seen or any(signs) for seen, signs in zip(nonzero, col)]
+            col.append(_runs([a - c for a, c in zip(_mul(rw, iv), _mul(rv, iw))], ss))
+        nonzero = [seen or any(sg for _, sg in runs) for seen, runs in zip(nonzero, col)]
         if prev is not None:
             b = bs[x - 1]
             for wi in range(nw):
-                col0, col1, out = prev[wi], col[wi], found[wi]
-                for y in range(nt - 1):
-                    if _crosses((col0[y], col1[y], col0[y + 1], col1[y + 1])):
-                        out.append(WallCell(wi, b, ts[y]))
+                found[wi].extend(WallCell(wi, b, ts[y]) for y in _cell_rows(prev[wi], col[wi], nt))
         prev = col
 
     trivial = tuple(wi for wi in range(nw) if not nonzero[wi])

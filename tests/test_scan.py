@@ -6,7 +6,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,6 @@ from abelfm.scan import (
     WallDataset,
     _crosses,
     _horner,
-    _linear_signs,
     _sign,
     emit,
     emit_csv,
@@ -395,6 +394,78 @@ def test_recheck_charges_each_corner_once(monkeypatch):
     assert calls == {"probe": 668, "wall": 696}
 
 
+def test_cell_pass_tests_one_row_per_breakpoint(monkeypatch):
+    # the predicate runs once per distinct breakpoint of each pair of
+    # neighbouring columns, counted here from the level-2 circles; a pass
+    # over every grid point makes 2 * 199 * 199 = 79,202 calls
+    cfg = load_config(Path(__file__).parent / "data" / "example_scan.json")
+    req = scan_from(cfg, context_from(cfg))
+    bs, ts = _grid_axes(req)
+    want = 0
+    for w in req.walls:
+        A, B, C = _level_two_circle(req.v, w)
+        breaks = []
+        for b in bs:
+            col = [(val > 0) - (val < 0) for val in (A * (b * b + t * t) + B * b + C for t in ts)]
+            breaks.append({y for y in range(1, len(ts)) if col[y] != col[y - 1]})
+        want += sum(len(b0 | b1) for b0, b1 in zip(breaks, breaks[1:]))
+    calls = 0
+    predicate = abelfm.scan._crosses
+
+    def counting(quad):
+        nonlocal calls
+        calls += 1
+        return predicate(quad)
+
+    monkeypatch.setattr(abelfm.scan, "_crosses", counting)
+    assert len(scan_walls(req).cells) == 346
+    assert calls == want == 87
+
+
+def test_level_two_scan_at_the_resolution_cap():
+    # g = 100, k = 2, four walls whose circles cross the window, on 10^4 x
+    # 10^4 points, the cap of both axes: every emitted cell straddles its
+    # circle, and seeded column pairs are complete.  It stays short because
+    # each column pair costs O(runs + cells), not O(nt).
+    rng = random.Random("resolution-cap:1")
+    ctx = AbelianContext(100, F(factorial(100)))
+    v, *walls = _scaled_classes(rng, ctx, 5)
+    n = 10**4
+    req = ScanRequest(ctx, 2, v, tuple(walls), (F(-2), F(2)), (F(1, 10), F(2)), (n, n))
+    ds = scan_walls(req)
+    # integer grid coordinates: b = bi / L and t = ti / L, and integer circles
+    (b0, b1), (t0, t1) = req.b_range, req.t_range
+    db, dt = (b1 - b0) / (n - 1), (t1 - t0) / (n - 1)
+    L = lcm(*(x.denominator for x in (b0, db, t0, dt)))
+    bi = [int(b0 * L) + x * int(db * L) for x in range(n)]
+    ti2 = [(int(t0 * L) + y * int(dt * L)) ** 2 for y in range(n)]
+    circles = []
+    for w in walls:
+        A, B, C = _level_two_circle(v, w)
+        d = lcm(A.denominator, B.denominator, C.denominator)
+        circles.append((int(A * d), int(B * d) * L, int(C * d) * L * L))
+
+    def sign(wi, x, y):
+        a, b, c = circles[wi]
+        val = a * (bi[x] * bi[x] + ti2[y]) + b * bi[x] + c
+        return (val > 0) - (val < 0)
+
+    x_of = {b0 + x * db: x for x in range(n)}
+    y_of = {t0 + y * dt: y for y in range(n)}
+    emitted = {(c.w_index, x_of[c.b], y_of[c.t]) for c in ds.cells}
+    assert len(emitted) == len(ds.cells) > 10**4
+    assert {wi for wi, _, _ in emitted} == set(range(len(walls)))
+    for wi, x, y in emitted:
+        assert len({sign(wi, x + i, y + j) for i in (0, 1) for j in (0, 1)}) > 1
+    xs = rng.sample(range(n - 1), 3) + [x for _, x, _ in rng.sample(sorted(emitted), 3)]
+    for x in xs:
+        for wi in range(len(walls)):
+            col0 = [sign(wi, x, y) for y in range(n)]
+            col1 = [sign(wi, x + 1, y) for y in range(n)]
+            want = {y for y in range(n - 1) if len({col0[y], col1[y], col0[y + 1], col1[y + 1]}) > 1}
+            assert {y for w, x1, y in emitted if (w, x1) == (wi, x)} == want
+
+
 def test_csv_shape():
     ctx = ctx2()
     ds = scan_walls(small_request([skyscraper(ctx)]))
@@ -626,7 +697,51 @@ def linear_columns(draw):
 @example(([0, 0], [1, 4, 9]))  # Q = 0
 def test_linear_signs_match_horner(case):
     q, ss = case
-    assert _linear_signs(q, ss) == [_sign(_horner(q, s)) for s in ss]
+    runs = abelfm.scan._runs(q, ss)  # through the module, so tests/test_mutants.py can fault it
+    assert len(runs) <= 3
+    assert _expand(runs, len(ss)) == [_sign(_horner(q, s)) for s in ss]
+
+
+def _expand(runs, nt):
+    """The nt signs that a column's (start row, sign) runs stand for, after
+    checking that the runs are well formed: the first starts at row 0, the
+    starts increase within the column, and neighbouring signs differ."""
+    starts = [y for y, _ in runs]
+    assert starts[0] == 0 and starts == sorted(set(starts)) and starts[-1] < nt
+    assert all(a[1] != b[1] for a, b in zip(runs, runs[1:]))
+    return [sg for (y, sg), (end, _) in zip(runs, runs[1:] + [(nt, None)]) for _ in range(y, end)]
+
+
+@st.composite
+def run_pairs(draw):
+    """(nt, runs0, runs1): two neighbouring columns of nt >= 2 rows, each a
+    list of runs with breakpoints anywhere in 1..nt-1."""
+    nt = draw(st.integers(2, 40))
+
+    def column():
+        starts = [0, *sorted(draw(st.sets(st.integers(1, nt - 1), max_size=min(nt - 1, 6))))]
+        signs = [draw(st.sampled_from([-1, 0, 1]))]
+        for _ in starts[1:]:
+            signs.append(draw(st.sampled_from([sg for sg in (-1, 0, 1) if sg != signs[-1]])))
+        return list(zip(starts, signs))
+
+    return nt, column(), column()
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_pairs())
+@example((5, [(0, -1), (1, 1)], [(0, -1)]))  # a breakpoint at row 1
+@example((5, [(0, 1)], [(0, 1), (4, -1)]))  # a breakpoint at row nt - 1
+@example((7, [(0, -1), (3, 0), (4, 1)], [(0, -1), (3, 1)]))  # a one-row zero run
+@example((4, [(0, 1)], [(0, -1)]))  # two constant columns of opposite sign
+@example((6, [(0, -1), (2, 0), (3, 1)], [(0, -1), (2, 0), (3, 1)]))  # identical columns
+@example((2, [(0, 0), (1, 1)], [(0, 1)]))  # nt = 2
+def test_cell_rows_match_the_dense_cell_loop(case):
+    # the merge of two columns' runs against the predicate at every row
+    nt, runs0, runs1 = case
+    col0, col1 = _expand(runs0, nt), _expand(runs1, nt)
+    dense = [y for y in range(nt - 1) if _crosses((col0[y], col1[y], col0[y + 1], col1[y + 1]))]
+    assert abelfm.scan._cell_rows(runs0, runs1, nt) == dense
 
 
 @pytest.mark.parametrize("g,k", [(8, 2), (8, 5), (10, 3), (10, 9), (12, 4), (12, 7)])
