@@ -12,15 +12,19 @@ stability's one charge polynomial, rescaled to the grid and divided by
 their gcd.  At level k that integral is z^(g-k) * P(z) with P of degree k,
 z = b + i*t; the dropped factor scales W by |z|^(2(g-k)) > 0, so the
 scanner keeps only the k + 1 coefficients of P, and its cost follows k,
-not g.  The independent re-check in recheck_walls goes through the public
+not g.  The independent re-check in recheck_walls goes through the
 rotated charge instead, which also exercises that cancellation.
 
 The scanner makes one pass over the b columns of the grid, with every
-coordinate cleared to an integer by one common scale.  Per column it
-expands each class's P at b + i*T in T by repeated synthetic division,
-P(b + i*T) = R(T^2) + i*T*I(T^2), and forms Q = R_w * I_v - R_v * I_w, so
-that W = T * Q(T^2).  T > 0 on the grid, so sign W = sign Q(T^2), taken
-on the precomputed squares of the grid's t values.  Q has degree at most
+coordinate cleared to an integer by one common scale, the lcm of the
+denominators of the first point and the step on each axis.  The grid's
+integer b and T values are arithmetic progressions; Fractions are made
+only for the t axis and for the b of a column that emits a cell.  Per
+column it expands each class's P at b + i*T in T by repeated synthetic
+division, P(b + i*T) = R(T^2) + i*T*I(T^2), and forms
+Q = R_w * I_v - R_v * I_w, so that W = T * Q(T^2).  T > 0 on the grid, so
+sign W = sign Q(T^2), taken on the precomputed squares of the grid's t
+values.  Q has degree at most
 k - 1.  A wall's column is held as a short list of (start row, sign)
 runs.  At k <= 2 Q changes sign at most once down a column, so its runs
 (-, at most one 0, +) are read off its one root, ceil(-q0/q1), by one
@@ -39,15 +43,21 @@ O(runs + cells), not O(nt).  Memory is O(walls * runs + cells) plus the nt
 squares, independent of the number of b columns.  A wall class
 proportional to the probe gives Q = 0; it is flagged trivial (it has no
 nonzero run) and contributes no cells.  A probe whose charge vanishes at
-every grid point flags the dataset as degenerate; R_v and I_v are
+every grid point flags the dataset as degenerate.  A zero P_v is flagged
+from its coefficients, with no evaluation; otherwise R_v and I_v are
 evaluated down the columns only until the first point where one of them is
 nonzero.
 
 recheck_walls walks the emitted cells in order and computes each charge it
 needs once per call: one probe charge per distinct cell corner, and one
-wall charge per distinct (wall, corner).  That is at most 8 public charge
+wall charge per distinct (wall, corner).  That is at most 8 charge_at
 calls per cell and at most walls + 1 per grid point; along a wall curve,
-where neighbouring cells share corners, it is about 4 per cell.
+where neighbouring cells share corners, it is about 4 per cell.  Each
+corner's beta = b + i*t is built once, both charges come from
+stability.charge_at, the rotated kernel that the public charge wraps, and
+the sign of W is one integer cross-sign (surd._cross_sign) of the two.
+None of this shares code with the scanner: the recheck builds its own grid,
+and goes through the full rotated level-k charge.
 
 Emission is byte-deterministic: fixed orderings, exact "p/q" encodings in
 CSV and JSON, fixed float formatting in SVG.  The JSON text is the
@@ -66,8 +76,9 @@ from math import gcd, lcm
 
 from .lattice import AbelianContext, CohClass, _require_match
 from .literals import format_rational_frac
-from .stability import ChargeSpec, _charge_ints, _check_level, charge
-from .surd import SurdComplex, as_fraction
+from .stability import _charge_ints, _check_level, charge_at
+from .stability import charge  # noqa: F401  (scan.charge: perfbench's tracer rebinds it here)
+from .surd import SurdComplex, _cross_sign, as_fraction, as_q3
 
 
 @dataclass(frozen=True)
@@ -243,34 +254,46 @@ def scan_walls(req: ScanRequest) -> WallDataset:
     column at a time, and collect the sign-change cells, ordered by wall
     index, then b, then t."""
     nb, nt = req.resolution
-    bs = _grid(req.b_range[0], req.b_range[1], nb)
-    ts = _grid(req.t_range[0], req.t_range[1], nt)
+    (b0, b1), (t0, t1) = req.b_range, req.t_range
+    db, dt = (b1 - b0) / (nb - 1), (t1 - t0) / (nt - 1)
+    ts = _grid(t0, t1, nt)
 
-    # clear all grid denominators with one integer scale; W depends on t
-    # through T^2 alone once its positive factor T is dropped
-    scale = lcm(*(x.denominator for x in (*bs, *ts)))
-    bi = [int(b * scale) for b in bs]
-    ss = [int(t * scale) ** 2 for t in ts]
+    # clear all grid denominators with one integer scale.  The first point
+    # and the step (a difference of two grid points) have denominators that
+    # divide the lcm over all grid points, and every grid point is an
+    # integer combination of them, so this scale is that lcm.  W depends on
+    # t through T^2 alone once its positive factor T is dropped.
+    scale = lcm(b0.denominator, db.denominator, t0.denominator, dt.denominator)
+    bi0, dbi = int(b0 * scale), int(db * scale)
+    ti0, dti = int(t0 * scale), int(dt * scale)
+    ss = [(ti0 + y * dti) ** 2 for y in range(nt)]
 
     pv, *pws = (_int_charge_coeffs(cls, req.k, scale) for cls in (req.v, *req.walls))
     nw = len(pws)
     found: list[list[WallCell]] = [[] for _ in range(nw)]
     nonzero = [False] * nw
+    # a zero P_v vanishes everywhere; otherwise look for a point where it does not
     v_degenerate = True
+    pending = any(pv)
     prev = None
     for x in range(nb):
-        rv, iv = _column_parts(pv, bi[x])
-        if v_degenerate:
-            v_degenerate = not any(_horner(rv, s) or _horner(iv, s) for s in ss)
+        zb = bi0 + x * dbi
+        rv, iv = _column_parts(pv, zb)
+        if pending:
+            v_degenerate = pending = not any(_horner(rv, s) or _horner(iv, s) for s in ss)
         col = []
         for pw in pws:
-            rw, iw = _column_parts(pw, bi[x])
+            rw, iw = _column_parts(pw, zb)
             col.append(_runs([a - c for a, c in zip(_mul(rw, iv), _mul(rv, iw))], ss))
         nonzero = [seen or any(sg for _, sg in runs) for seen, runs in zip(nonzero, col)]
         if prev is not None:
-            b = bs[x - 1]
+            b = None  # the column's b as a Fraction, made once it emits a cell
             for wi in range(nw):
-                found[wi].extend(WallCell(wi, b, ts[y]) for y in _cell_rows(prev[wi], col[wi], nt))
+                rows = _cell_rows(prev[wi], col[wi], nt)
+                if rows:
+                    if b is None:
+                        b = Fraction(zb - dbi, scale)
+                    found[wi].extend(WallCell(wi, b, ts[y]) for y in rows)
         prev = col
 
     trivial = tuple(wi for wi in range(nw) if not nonzero[wi])
@@ -297,8 +320,11 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
     b_index = {b: i for i, b in enumerate(bs)}
     t_index = {t: j for j, t in enumerate(ts)}
     # filled lazily in cell order, so a bad dataset stops at the same cell;
-    # grid point -> (spec, probe charge), and (wall, point) -> sign of W
-    probe: dict[tuple[int, int], tuple[ChargeSpec, SurdComplex]] = {}
+    # grid point -> (beta, probe charge), and (wall, point) -> sign of W.
+    # ScanRequest has checked k and t > 0, and its classes carry no shift,
+    # so the rotated kernel that charge wraps is called directly.
+    ctx, k, v, walls = req.ctx, req.k, req.v, req.walls
+    probe: dict[tuple[int, int], tuple[SurdComplex, SurdComplex]] = {}
     signs: dict[tuple[int, int, int], int] = {}
 
     def wall_sign(wi: int, x: int, y: int) -> int:
@@ -307,11 +333,10 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
         if s is None:
             at = probe.get((x, y))
             if at is None:
-                spec = ChargeSpec(req.ctx, req.k, bs[x], ts[y])
-                at = probe[x, y] = (spec, charge(spec, req.v))
-            spec, zv = at
-            zw = charge(spec, req.walls[wi])
-            s = signs[key] = (zw.re * zv.im - zv.re * zw.im).sign()
+                beta = SurdComplex._new(as_q3(bs[x]), as_q3(ts[y]))
+                at = probe[x, y] = (beta, charge_at(ctx, beta, v, k))
+            beta, zv = at
+            s = signs[key] = _cross_sign(charge_at(ctx, beta, walls[wi], k), zv)
         return s
 
     for cell in ds.cells:
@@ -333,12 +358,15 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
 
 def recheck_walls(ds: WallDataset) -> bool:
     """Independent soundness pass: recompute the four corner values of every
-    emitted cell through the public exact charge (rotation included) and
-    confirm the sign-change predicate.  Returns True when every cell passes.
+    emitted cell through the exact rotated charge (stability.charge_at, the
+    kernel of the public charge) and confirm the sign-change predicate.
+    Returns True when every cell passes.
 
     Each charge is computed once per call: one probe charge per distinct
     corner plus one wall charge per distinct (wall, corner), at most 8 per
-    cell and at most walls + 1 per grid point."""
+    cell and at most walls + 1 per grid point.  Each distinct corner builds
+    its beta once, and the sign of W at it is one integer cross-sign of the
+    two charges."""
     return _first_bad_cell(ds) is None
 
 

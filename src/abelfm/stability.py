@@ -44,7 +44,7 @@ from math import atan2, factorial, floor, lcm, pi
 from typing import Sequence
 
 from .lattice import AbelianContext, CohClass, ShiftedClass, _require_match, twist
-from .surd import Q3, SurdComplex, as_fraction, as_q3, direction_pi
+from .surd import Q3, SurdComplex, _cross_sign, as_fraction, as_q3, direction_pi
 
 
 class HeartValueError(ValueError):
@@ -234,10 +234,9 @@ def phase_cmp(spec: ChargeSpec, e, bound: Fraction) -> int:
 
 def _side(z: SurdComplex, y: Fraction) -> int:
     """Sign of (arg(z)/pi - y) for arg(z)/pi and y in (0, 1], 12y integral:
-    the sign of sin(arg(z) - y*pi), i.e. of Im(z * conj(d)) for the
-    direction d of angle y*pi."""
-    d = direction_pi(y)
-    return (z.im * d.re - z.re * d.im).sign()
+    the sign of sin(arg(z) - y*pi), i.e. of Im(conj(d) * z) for the
+    direction d of angle y*pi, decided by surd's one integer cross-sign."""
+    return _cross_sign(direction_pi(y), z)
 
 
 def in_slice(spec: ChargeSpec, e, window: tuple[Fraction, Fraction]) -> bool:

@@ -26,6 +26,11 @@ SurdComplex operator a SurdComplex, a real operand landing on the real axis;
 any other operand gives NotImplemented.  Each operation then has one formula;
 only the Q3 product keeps a second one, for two rationals.
 
+The sign of a + b*sqrt 3 for integers a and b is decided in one place,
+_sign3.  _cross_sign(u, w), the sign of Im(conj(u) * w), reads it straight
+off the four triples of u and w without building an intermediate Q3; the
+recheck's wall sign and stability's phase side both use it.
+
 Everything in this module is immutable and hashable.
 """
 
@@ -74,6 +79,17 @@ def _operand(coerce):
         return method
 
     return decorate
+
+
+def _sign3(a: int, b: int) -> int:
+    """The sign of a + b*sqrt 3 for integers a and b."""
+    if not b:
+        return (a > 0) - (a < 0)
+    # b*sqrt(3) decides unless a has the other sign and is larger;
+    # |a| = |b|*sqrt(3) cannot happen because sqrt(3) is irrational
+    if (a > 0) != (b > 0) and a * a > 3 * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 def _sum(x: tuple[int, int, int], y: tuple[int, int, int], sign: int) -> "Q3":
@@ -146,13 +162,7 @@ class Q3:
 
     def sign(self) -> int:
         a, b, _ = self._abd
-        if not b:
-            return (a > 0) - (a < 0)
-        # b*sqrt(3) decides unless a has the other sign and is larger;
-        # |a| = |b|*sqrt(3) cannot happen because sqrt(3) is irrational
-        if (a > 0) != (b > 0) and a * a > 3 * b * b:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return _sign3(a, b)
 
     @_operand(_parts)
     def __add__(self, o):
@@ -336,6 +346,21 @@ class SurdComplex:
 
 _set_re = SurdComplex.__dict__["re"].__set__
 _set_im = SurdComplex.__dict__["im"].__set__
+
+
+def _cross_sign(u: SurdComplex, w: SurdComplex) -> int:
+    """sign(u.re * w.im - u.im * w.re), the sign of Im(conj(u) * w), read
+    off the four canonical triples: over the common denominator
+    d1*d2*d3*d4 > 0 the difference is a + b*sqrt 3 with integers a and b,
+    and one sign test in Z[sqrt 3] decides it."""
+    a1, b1, d1 = u.re._abd
+    a2, b2, d2 = u.im._abd
+    a3, b3, d3 = w.re._abd
+    a4, b4, d4 = w.im._abd
+    p, q = d2 * d3, d1 * d4
+    a = a1 * a4 * p - a2 * a3 * q + 3 * (b1 * b4 * p - b2 * b3 * q)
+    b = (a1 * b4 + b1 * a4) * p - (a2 * b3 + b2 * a3) * q
+    return _sign3(a, b)
 
 
 def normalize_angle(a: Fraction) -> Fraction:

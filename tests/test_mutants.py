@@ -1,19 +1,27 @@
-"""A table of named faults in the exact scan kernels, each of which a named
+"""A table of named faults in the exact kernels, each of which a named
 deterministic test must catch.
 
-Each row rewrites one snippet of one function's source, compiles the
-result against the defining module's names and binds it in the module by
-monkeypatch; the killing test is then called directly and must fail.  A
-hypothesis test takes part only through one of its explicit examples, run
+Each row rewrites one snippet of one function's source and compiles the
+result against the defining module's names.  It then binds the mutant by
+monkeypatch in one module at a time, for every module that binds the
+function, and calls that module's killing test directly, which must fail.
+A hypothesis test takes part only through one of its explicit examples, run
 by ``.hypothesis.inner_test``, so that no kill rests on a random draw."""
 
+import importlib
 import inspect
+import pkgutil
 import textwrap
 
 import pytest
 
+import abelfm
 import abelfm.scan
+import abelfm.stability
+import abelfm.surd
 import test_scan
+import test_stability
+import test_surd
 
 
 def _mutant(module, name, old, new):
@@ -34,44 +42,92 @@ def _merge_example(case):
     return lambda: test_scan.test_cell_rows_match_the_dense_cell_loop.hypothesis.inner_test(case)
 
 
-# (fault, function, snippet, replacement, killing test)
+# (fault, defining module, function, snippet, replacement,
+#  {module that binds the function: its killing test, or None where the
+#   fault cannot change what that module computes})
 MUTANTS = [
     (
         "column-parts-sign-at-j-3-mod-4",
-        "_column_parts", "j % 4 > 1", "j % 4 == 2",
-        lambda: test_scan.test_scan_below_the_top_level_matches_dense_reference(10, 3),
+        abelfm.scan, "_column_parts", "j % 4 > 1", "j % 4 == 2",
+        {abelfm.scan: lambda: test_scan.test_scan_below_the_top_level_matches_dense_reference(10, 3)},
     ),
     (
         "linear-runs-zero-without-q1-dividing-q0",
-        "_runs", " and q0 % q1 == 0", "",
-        _linear_example(([-7, 2], [1, 4, 9])),
+        abelfm.scan, "_runs", " and q0 % q1 == 0", "",
+        {abelfm.scan: _linear_example(([-7, 2], [1, 4, 9]))},
     ),
     (
         "merge-skips-the-row-below-a-breakpoint",
-        "_cell_rows", "            rows.append(hi - 1)\n", "            pass\n",
-        _merge_example((5, [(0, -1), (1, 1)], [(0, -1)])),
+        abelfm.scan, "_cell_rows", "            rows.append(hi - 1)\n", "            pass\n",
+        {abelfm.scan: _merge_example((5, [(0, -1), (1, 1)], [(0, -1)]))},
     ),
     (
         "merge-ignores-a-segment-of-unequal-signs",
-        "_cell_rows", "            rows.extend(range(lo, hi - 1))\n", "            pass\n",
-        _merge_example((4, [(0, 1)], [(0, -1)])),
+        abelfm.scan, "_cell_rows", "            rows.extend(range(lo, hi - 1))\n", "            pass\n",
+        {abelfm.scan: _merge_example((4, [(0, 1)], [(0, -1)]))},
     ),
     (
         "predicate-ignores-the-fourth-corner",
-        "_crosses", " or quad[3] != s", "",
-        lambda: test_scan.test_level_two_walls_are_semicircles_at_every_g(2),
+        abelfm.scan, "_crosses", " or quad[3] != s", "",
+        {abelfm.scan: lambda: test_scan.test_level_two_walls_are_semicircles_at_every_g(2)},
     ),
     (
         "recheck-cache-keyed-without-the-wall",
-        "_first_bad_cell", "key = (wi, x, y)", "key = (x, y)",
-        test_scan.test_recheck_matches_the_per_cell_reference,
+        abelfm.scan, "_first_bad_cell", "key = (wi, x, y)", "key = (x, y)",
+        {abelfm.scan: test_scan.test_recheck_matches_the_per_cell_reference},
+    ),
+    (
+        "cross-sign-without-the-3-of-the-b-b-term",
+        abelfm.surd, "_cross_sign", "3 * (b1 * b4", "(b1 * b4",
+        {
+            abelfm.surd: test_surd.test_cross_sign_matches_the_fraction_reference,
+            abelfm.stability: test_stability.test_side_matches_the_q3_cross_product,
+            # a scan's charges are rational, so every sqrt 3 part it multiplies is 0
+            abelfm.scan: None,
+        },
+    ),
+    (
+        "cross-sign-with-its-arguments-swapped",
+        abelfm.surd, "_cross_sign", "def _cross_sign(u: SurdComplex, w: SurdComplex)",
+        "def _cross_sign(w: SurdComplex, u: SurdComplex)",
+        {
+            abelfm.surd: test_surd.test_cross_sign_matches_the_fraction_reference,
+            abelfm.stability: test_stability.test_side_matches_the_q3_cross_product,
+            # every corner sign flips: the same cells fail, with negated corners
+            abelfm.scan: test_scan.test_recheck_matches_the_per_cell_reference,
+        },
     ),
 ]
 
 
-@pytest.mark.parametrize("name,old,new,kill", [row[1:] for row in MUTANTS],
-                         ids=[row[0] for row in MUTANTS])
-def test_fault_is_caught_by_its_deterministic_test(monkeypatch, name, old, new, kill):
-    monkeypatch.setattr(abelfm.scan, name, _mutant(abelfm.scan, name, old, new))
+def _short(module):
+    return module.__name__.rsplit(".", 1)[-1]
+
+
+# one case per (row, binding module); a row's id is its fault name in the
+# defining module and "<fault>-via-<module>" in any other
+CASES = [
+    pytest.param(module, binder, name, old, new, kill,
+                 id=fault if binder is module else f"{fault}-via-{_short(binder)}")
+    for fault, module, name, old, new, kills in MUTANTS
+    for binder, kill in kills.items()
+    if kill is not None
+]
+
+
+@pytest.mark.parametrize("module,binder,name,old,new,kill", CASES)
+def test_fault_is_caught_by_its_deterministic_test(monkeypatch, module, binder, name, old, new, kill):
+    monkeypatch.setattr(binder, name, _mutant(module, name, old, new))
     with pytest.raises(AssertionError):
         kill()
+
+
+def test_every_module_that_binds_a_faulted_function_has_a_row_entry():
+    # a module that imports a kernel by name keeps the original when only
+    # the defining module is patched, so each binding needs its own kill
+    modules = [importlib.import_module(f"abelfm.{m.name}")
+               for m in pkgutil.iter_modules(abelfm.__path__) if m.name != "__main__"]
+    for fault, module, name, _, _, kills in MUTANTS:
+        original = getattr(module, name)
+        binders = {m for m in modules if getattr(m, name, None) is original}
+        assert binders == set(kills), fault

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -374,7 +375,8 @@ def test_recheck_matches_the_per_cell_reference():
 
 def test_recheck_charges_each_corner_once(monkeypatch):
     # one probe charge per distinct corner, one wall charge per distinct
-    # (wall, corner); the per-cell reference makes 8 calls a cell, 2,768 here
+    # (wall, corner), each through the rotated kernel charge_at; the
+    # per-cell reference makes 8 public charge calls a cell, 2,768 here
     ds = _example_dataset()
     req = ds.request
     bs, ts = _grid_axes(req)
@@ -383,13 +385,13 @@ def test_recheck_charges_each_corner_once(monkeypatch):
     assert len(ds.cells) == 346
     assert len({(b, t) for _, b, t in corners}) == 668 and len(corners) == 696
     calls = {"probe": 0, "wall": 0}
-    public = abelfm.scan.charge
+    kernel = abelfm.scan.charge_at
 
-    def counting(spec, e):
+    def counting(ctx, beta, e, k):
         calls["probe" if e == req.v else "wall"] += 1
-        return public(spec, e)
+        return kernel(ctx, beta, e, k)
 
-    monkeypatch.setattr(abelfm.scan, "charge", counting)
+    monkeypatch.setattr(abelfm.scan, "charge_at", counting)
     assert recheck_walls(ds)
     assert calls == {"probe": 668, "wall": 696}
 
@@ -420,6 +422,37 @@ def test_cell_pass_tests_one_row_per_breakpoint(monkeypatch):
     monkeypatch.setattr(abelfm.scan, "_crosses", counting)
     assert len(scan_walls(req).cells) == 346
     assert calls == want == 87
+
+
+def test_zero_probe_is_degenerate_without_evaluating_the_grid(monkeypatch):
+    # a probe whose charge polynomial is zero vanishes at every grid point:
+    # its coefficients decide that, and no grid point is evaluated for it
+    ctx = ctx2()
+    zero = CohClass.zero(ctx)
+    walls = (skyscraper(ctx), line_bundle(ctx, F(1)))
+    calls = 0
+    horner = abelfm.scan._horner
+
+    def counting(p, s):
+        nonlocal calls
+        calls += 1
+        return horner(p, s)
+
+    monkeypatch.setattr(abelfm.scan, "_horner", counting)
+    for k in (1, 2):
+        for res in ((2, 2), (5, 7), (9, 9)):
+            req = ScanRequest(ctx, k, zero, walls, (F(-2), F(2)), (F(1, 10), F(2)), res)
+            ds = scan_walls(req)
+            assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
+            assert ds.v_degenerate and ds.trivial_walls == (0, 1)
+    assert calls == 0
+    # at the cap of both axes a pass over every point takes tens of seconds
+    n = 10**4
+    req = ScanRequest(ctx, 2, zero, walls, (F(-2), F(2)), (F(1, 10), F(2)), (n, n))
+    start = time.perf_counter()
+    ds = scan_walls(req)
+    assert time.perf_counter() - start < 1.0
+    assert ds.v_degenerate and ds.cells == () and ds.trivial_walls == (0, 1)
 
 
 def test_level_two_scan_at_the_resolution_cap():
@@ -585,28 +618,29 @@ def test_emit_empty_dataset_csv_header_only():
     assert emit_csv(ds) == "w,b,t\n"
 
 
+def _plain(req, cls, b, t):
+    """n * sum_{i <= k} c_i (-(b + it))^(g-i) / (g-i)! as (re, im), in
+    plain Fractions."""
+    g, k, n = req.ctx.g, req.k, req.ctx.n
+    re = im = F(0)
+    for i in range(k + 1):
+        pr, pi_ = F(1), F(0)
+        for _ in range(g - i):
+            pr, pi_ = -(pr * b - pi_ * t), -(pr * t + pi_ * b)
+        re += n * cls.c[i] * pr / factorial(g - i)
+        im += n * cls.c[i] * pi_ / factorial(g - i)
+    return re, im
+
+
 def _dense_reference(req):
     """Plain-Fraction dense scan written independently of the library: store
     the sign of W at every grid point, then test every cell with the
     two-clause sign-change predicate."""
-    g, k, n = req.ctx.g, req.k, req.ctx.n
     nb, nt = req.resolution
     (b0, b1), (t0, t1) = req.b_range, req.t_range
     bs = [b0 + (b1 - b0) * i / (nb - 1) for i in range(nb)]
     ts = [t0 + (t1 - t0) * j / (nt - 1) for j in range(nt)]
-
-    def plain(cls, b, t):
-        # n * sum_{i <= k} c_i (-(b + it))^(g-i) / (g-i)! as (re, im)
-        re = im = F(0)
-        for i in range(k + 1):
-            pr, pi_ = F(1), F(0)
-            for _ in range(g - i):
-                pr, pi_ = -(pr * b - pi_ * t), -(pr * t + pi_ * b)
-            re += n * cls.c[i] * pr / factorial(g - i)
-            im += n * cls.c[i] * pi_ / factorial(g - i)
-        return re, im
-
-    vz = [[plain(req.v, b, t) for t in ts] for b in bs]
+    vz = [[_plain(req, req.v, b, t) for t in ts] for b in bs]
     v_degenerate = all(z == (0, 0) for col in vz for z in col)
     cells, trivial = [], []
     for wi, w in enumerate(req.walls):
@@ -614,7 +648,7 @@ def _dense_reference(req):
         for x, b in enumerate(bs):
             col = []
             for y, t in enumerate(ts):
-                (wr, wim), (vr, vim) = plain(w, b, t), vz[x][y]
+                (wr, wim), (vr, vim) = _plain(req, w, b, t), vz[x][y]
                 val = wr * vim - vr * wim
                 col.append((val > 0) - (val < 0))
             signs.append(col)
@@ -756,6 +790,36 @@ def test_scan_below_the_top_level_matches_dense_reference(g, k):
     ds = scan_walls(req)
     assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
     assert ds.cells and ds.trivial_walls == (3,)
+
+
+@pytest.mark.parametrize("r1,r2", [
+    (F(1), F(4)),  # both roots on grid squares, at t = 1 and t = 2
+    (F(9, 16), F(49, 16)),  # on grid squares again, at t = 3/4 and t = 7/4
+    (F(1), F(1)),  # a double root (D = 0) on a grid square
+    (F(2), F(2)),  # a double root between grid squares
+    (F(1, 16), F(9)),  # one root below the grid's squares, one above
+    (F(1, 16), F(1, 9)),  # both below
+    (F(9), F(16)),  # both above
+])
+def test_level_three_quadratics_on_grid_squares_match_dense_reference(r1, r2):
+    # at g = k = 3, v = (6, 0, r1, 0) and w = (0, -2, 0, -r2) give, on the
+    # b = 0 column, W = c * t * (t^2 - r1) * (t^2 - r2): Q is a quadratic in
+    # s = t^2 whose roots sit on, between, below or above the grid squares
+    ctx = AbelianContext(3, F(1))
+    v = CohClass(ctx, (F(6), F(0), r1, F(0)))
+    w = CohClass(ctx, (F(0), F(-2), F(0), -r2))
+    req = ScanRequest(ctx, 3, v, (w, skyscraper(ctx)), (F(-2), F(2)), (F(1, 2), F(5, 2)), (9, 9))
+    ds = scan_walls(req)
+    assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
+    ts = [F(1, 2) + F(j, 4) for j in range(9)]
+    ws = []
+    for t in ts:
+        (wr, wim), (vr, vim) = _plain(req, w, F(0), t), _plain(req, v, F(0), t)
+        ws.append(wr * vim - vr * wim)
+    quad = [t * (t * t - r1) * (t * t - r2) for t in ts]
+    assert [x == 0 for x in ws] == [q == 0 for q in quad]
+    assert len({x / q for x, q in zip(ws, quad) if q}) == 1  # one constant c
+    assert sum(q == 0 for q in quad) == len({r1, r2} & {t * t for t in ts})
 
 
 def test_scan_memory_does_not_grow_with_the_grid():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import abelfm.stability
 from abelfm.lattice import (
     AbelianContext,
     CohClass,
@@ -214,6 +215,31 @@ def test_phase_cmp_exact_at_twelfths():
     # non-twelfth bounds take the float path but stay correct
     assert phase_cmp(spec, a, F(1, 5)) == 1
     assert phase_cmp(spec, a, F(2, 5)) == -1
+
+
+def test_side_matches_the_q3_cross_product():
+    # _side(z, y) against Im(conj(d) * z) in Q3 arithmetic, d = direction_pi(y),
+    # and against atan2 where the gap is wide: charges with sqrt 3 parts, on
+    # each twelfth direction and 1e-30 of a turn to either side of it
+    parts = [F(0), F(1), F(-2), F(1, 2), SQRT3, Q3(1, -1), Q3(F(-3, 2), 2), Q3(7, -4)]
+    zs = [SurdComplex(a, b) for a in parts for b in parts]
+    eps = Q3(F(1, 10**30))
+    for j in range(1, 13):
+        d = direction_pi(F(j, 12))
+        zs += [d * Q3(F(3, 7), F(1, 5)), d + d.times_i() * eps, d - d.times_i() * eps]
+    zs = [z for z in zs if z.im.sign() > 0 or (z.im.sign() == 0 and z.re.sign() < 0)]
+    seen = set()
+    for y in [F(j, 12) for j in range(1, 13)]:
+        d = direction_pi(y)
+        for z in zs:
+            want = (z.im * d.re - z.re * d.im).sign()
+            # through the module, so tests/test_mutants.py can fault its kernel
+            assert abelfm.stability._side(z, y) == want, (z, y)
+            gap = math.atan2(float(z.im), float(z.re)) / math.pi - float(y)
+            if abs(gap) > 1e-9:
+                assert want == (1 if gap > 0 else -1), (z, y)
+            seen.add(want)
+    assert seen == {-1, 0, 1}
 
 
 def test_phase_cmp_exact_beside_a_twelfth():

@@ -4,11 +4,13 @@ import copy
 import math
 import operator
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelfm.surd
 from abelfm.lattice import AbelianContext, CohClass
 from abelfm.surd import (
     PolarScalar,
@@ -41,6 +43,74 @@ def test_q3_sign_is_exact_near_sqrt3():
     assert Q3(0).sign() == 0
     assert Q3(-2, 1).sign() == -1  # sqrt3 - 2 < 0
     assert Q3(2, -1).sign() == 1
+
+
+def _surd_sign(r: Fraction, s: Fraction) -> int:
+    """Sign of r + s*sqrt 3 by the floor of |s|*sqrt 3 over the common
+    denominator: s*sqrt 3 is irrational for s != 0, so no tie occurs."""
+    d = math.lcm(r.denominator, s.denominator)
+    a, b = int(r * d), int(s * d)
+    if not b:
+        return (a > 0) - (a < 0)
+    f = math.isqrt(3 * b * b)  # floor(|b| sqrt 3)
+    return (1 if -a <= f else -1) if b > 0 else (1 if a > f else -1)
+
+
+def _cross_reference(u, w):
+    """sign(u.re * w.im - u.im * w.re) with each part as a Fraction pair."""
+    (r1, s1), (r2, s2), (r3, s3), (r4, s4) = ((q.r, q.s) for q in (u.re, u.im, w.re, w.im))
+    return _surd_sign(r1 * r4 + 3 * s1 * s4 - r2 * r3 - 3 * s2 * s3,
+                      r1 * s4 + s1 * r4 - r2 * s3 - s2 * r3)
+
+
+def _pell(n):
+    """(a, b) with a + b sqrt 3 = (2 + sqrt 3)^n, so a^2 - 3 b^2 = 1."""
+    a, b = 1, 0
+    for _ in range(n):
+        a, b = 2 * a + 3 * b, a + 2 * b
+    return a, b
+
+
+def _cross_cases():
+    """(u, w) pairs: near-cancellation from Pell pairs, in the a-part, in
+    the b*b term and across unequal denominators; zero parts and parallel
+    vectors; then a seeded batch of small parts with sqrt 3 and zeros."""
+    S = SurdComplex
+    a30, b30 = _pell(30)
+    cases = [
+        (S(26, Q3(0, 15)), S(1, 1)),  # 26 - 15 sqrt3, about 0.019
+        (S(Q3(Fraction(26, 7)), Q3(0, Fraction(15, 7))), S(Fraction(1, 3), Fraction(1, 3))),
+        (S(Q3(0, Fraction(56, 5)), Fraction(97, 5)), S(Fraction(1, 11), Fraction(1, 11))),
+        (S(Q3(7, -4)), S(0, Q3(7, -4))),  # (7 - 4 sqrt3)^2 = 97 - 56 sqrt3: the b*b term
+        (S(Q3(Fraction(7, 3), Fraction(-4, 3))), S(0, Q3(Fraction(-7, 2), 2))),  # -(97 - 56 sqrt3)/6
+        (S(0, Q3(7, 4)), S(Q3(7, -4), 0)),  # -(7 + 4 sqrt3)(7 - 4 sqrt3) = -1
+        (S(a30, Q3(0, b30)), S(1, 1)),  # a - b sqrt3 = 1/(a + b sqrt3)
+        (S(Q3(0, b30), a30), S(Fraction(1, 13), Fraction(1, 13))),  # below float resolution
+        (S(), S(Q3(1, 1), Q3(2, -1))),
+        (S(Q3(1, 1), Q3(2, -1)), S()),
+        (S(0, Q3(0, 1)), S(0, 5)),  # both on the imaginary axis
+    ]
+    w = S(Q3(1, 1), Q3(2, -1))
+    cases.append((w * Q3(Fraction(3, 5), Fraction(-2, 5)), w))  # parallel: exactly 0
+    rng = random.Random("cross-sign")
+    parts = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+
+    def q3():
+        return Q3(rng.choice(parts), rng.choice(parts))
+
+    cases += [(S(q3(), q3()), S(q3(), q3())) for _ in range(1500)]
+    return cases
+
+
+def test_cross_sign_matches_the_fraction_reference():
+    signs = set()
+    for u, w in _cross_cases():
+        want = _cross_reference(u, w)
+        # through the module, so tests/test_mutants.py can fault it
+        assert abelfm.surd._cross_sign(u, w) == want, (u, w)
+        assert abelfm.surd._cross_sign(w, u) == -want, (u, w)
+        signs.add(want)
+    assert signs == {-1, 0, 1}
 
 
 @given(rationals, rationals, rationals, rationals)
