@@ -60,9 +60,8 @@ def _out_path(out: str) -> Path:
     return p
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args, cfg) -> int:
     from . import transform
-    cfg = config.load_config(args.config)
     spec = config.transform_from(cfg)
     e = config.class_from(spec.src, args.cls)
     img = transform.apply(spec, e)
@@ -80,9 +79,8 @@ def _warn_chi(ctx) -> None:
         print(note, file=sys.stderr)
 
 
-def _cmd_charge(args) -> int:
+def _cmd_charge(args, cfg) -> int:
     from . import stability
-    cfg = config.load_config(args.config)
     ctx = config.context_from(cfg)
     spec = config.charge_from(cfg, ctx, args.k)
     e = config.class_from(ctx, args.cls)
@@ -102,9 +100,8 @@ def _cmd_charge(args) -> int:
     return 0
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args, cfg) -> int:
     from . import induced
-    cfg = config.load_config(args.config)
     spec = config.transform_from(cfg)
     modulus, angle = parse_polar(args.u)
     u = PolarScalar(modulus, angle)
@@ -123,9 +120,8 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _cmd_params(args) -> int:
+def _cmd_params(args, cfg) -> int:
     from . import induced
-    cfg = config.load_config(args.config)
     spec = config.transform_from(cfg)
     lam = parse_rational(args.lam)
     omega_src, omega_dst = induced.conjecture_params(spec, args.k, lam)
@@ -159,9 +155,8 @@ def _describe(bad) -> str:
     )
 
 
-def _cmd_walls(args) -> int:
+def _cmd_walls(args, cfg) -> int:
     from . import scan
-    cfg = config.load_config(args.config)
     ctx = config.context_from(cfg)
     req = config.scan_from(cfg, ctx)
     _warn_chi(ctx)
@@ -186,7 +181,7 @@ def _cmd_walls(args) -> int:
     return status
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cfg) -> int:
     from . import verify
     results, ok = verify.run_verify(args.suite)
     for res in results:
@@ -237,6 +232,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: " + message.replace("\n", " ") + "\n")
 
 
+# one row per verb, in the order of the top-level --help: name, help,
+# handler, and its flags as (name, add_argument keywords) in its --help
+# order.  main passes a verb with --config the loaded config, verify None.
+_CONFIG = ("--config", dict(required=True, help="path to the JSON config file"))
+_CLASS = ("--class", dict(dest="cls", required=True, help='class literal "c0,c1,...,cg"'))
+_VERBS = (
+    ("transform", "apply the configured transform to a class", _cmd_transform, (_CONFIG, _CLASS)),
+    ("charge", "evaluate the level-k charge of a class", _cmd_charge, (
+        _CONFIG, _CLASS,
+        ("--k", dict(type=_int_literal, default=None, help="override the config charge level")),
+    )),
+    ("zeta", "exact polar factor of the induced charge relation", _cmd_zeta, (
+        _CONFIG,
+        ("--u", dict(required=True, help='polar literal "modulus@angle", angle in units of pi')),
+    )),
+    ("params", "matched polarization pair and transport verdicts", _cmd_params, (
+        _CONFIG,
+        ("--k", dict(type=_int_literal, required=True, help="angle numerator, angle = k*pi/g")),
+        ("--lambda", dict(dest="lam", required=True, help="polar modulus, rational > 0")),
+    )),
+    ("walls", "scan wall loci on the (b, t) grid and emit a file", _cmd_walls, (
+        _CONFIG,
+        ("--out", dict(default=None, help="output path (stdout when omitted)")),
+        ("--format", dict(choices=_FORMATS, default="csv")),
+        ("--recheck", dict(action="store_true", help=(
+            "independently re-verify every emitted cell through the public charge"))),
+    )),
+    ("verify", "run a self-check suite", _cmd_verify, (
+        ("--suite", dict(choices=_SUITES, default="all")),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="abelfm",
@@ -246,47 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_config(p):
-        p.add_argument("--config", required=True, help="path to the JSON config file")
-
-    p = sub.add_parser("transform", help="apply the configured transform to a class")
-    add_config(p)
-    p.add_argument("--class", dest="cls", required=True, help='class literal "c0,c1,...,cg"')
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("charge", help="evaluate the level-k charge of a class")
-    add_config(p)
-    p.add_argument("--class", dest="cls", required=True, help='class literal "c0,c1,...,cg"')
-    p.add_argument("--k", type=_int_literal, default=None, help="override the config charge level")
-    p.set_defaults(func=_cmd_charge)
-
-    p = sub.add_parser("zeta", help="exact polar factor of the induced charge relation")
-    add_config(p)
-    p.add_argument("--u", required=True, help='polar literal "modulus@angle", angle in units of pi')
-    p.set_defaults(func=_cmd_zeta)
-
-    p = sub.add_parser("params", help="matched polarization pair and transport verdicts")
-    add_config(p)
-    p.add_argument("--k", type=_int_literal, required=True, help="angle numerator, angle = k*pi/g")
-    p.add_argument("--lambda", dest="lam", required=True, help="polar modulus, rational > 0")
-    p.set_defaults(func=_cmd_params)
-
-    p = sub.add_parser("walls", help="scan wall loci on the (b, t) grid and emit a file")
-    add_config(p)
-    p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=_FORMATS, default="csv")
-    p.add_argument(
-        "--recheck",
-        action="store_true",
-        help="independently re-verify every emitted cell through the public charge",
-    )
-    p.set_defaults(func=_cmd_walls)
-
-    p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("--suite", choices=_SUITES, default="all")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, help_text, handler, flags in _VERBS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -300,7 +292,8 @@ def main(argv=None) -> int:
     out = io.StringIO()
     try:
         with redirect_stdout(out):
-            status = args.func(args)
+            cfg = config.load_config(args.config) if "config" in args else None
+            status = args.func(args, cfg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

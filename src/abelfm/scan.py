@@ -24,15 +24,18 @@ column it expands each class's P at b + i*T in T by repeated synthetic
 division, P(b + i*T) = R(T^2) + i*T*I(T^2), and forms
 Q = R_w * I_v - R_v * I_w, so that W = T * Q(T^2).  T > 0 on the grid, so
 sign W = sign Q(T^2), taken on the precomputed squares of the grid's t
-values.  Q has degree at most
-k - 1.  A wall's column is held as a short list of (start row, sign)
-runs.  At k <= 2 Q changes sign at most once down a column, so its runs
-(-, at most one 0, +) are read off its one root, ceil(-q0/q1), by one
-bisection of the squares; every level-2 wall is a semicircle centred on
-the b axis or a vertical line.  At k >= 3 one integer Horner pass runs per
-wall and grid point.  That is about walls * k^2 big-integer operations per
-column, plus one bisection per wall at k <= 2 or walls * k per grid point
-at k >= 3.  The scanner keeps the runs of the current and the previous
+values.  Q has degree at most k - 1; its vanishing top coefficients are
+dropped before its signs are taken.  A wall's column is held as a short
+list of (start row, sign) runs.  A Q of degree at most 1 changes sign at
+most once down a column, so its runs (-, at most one 0, +) are read off
+its one root, ceil(-q0/q1), by one bisection of the squares.  That is
+every column at k <= 2, where every wall is a semicircle centred on the b
+axis or a vertical line, and at any k a wall proportional to the probe
+(Q = 0) or, at k = 3, one whose c0 and c1 are proportional to the
+probe's.  At degree >= 2 one integer Horner pass runs per wall and grid
+point.  That is about walls * k^2 big-integer operations per column, plus
+one bisection per wall of degree <= 1 or walls * k per grid point
+otherwise.  The scanner keeps the runs of the current and the previous
 column per wall, and emits each cell between them whose four corner signs
 are not all equal (two corners of strict opposite sign, or a zero corner
 next to a nonzero one).  The cell pass merges the two columns'
@@ -56,8 +59,11 @@ where neighbouring cells share corners, it is about 4 per cell.  Each
 corner's beta = b + i*t is built once, both charges come from
 stability.charge_at, the rotated kernel that the public charge wraps, and
 the sign of W is one integer cross-sign (surd._cross_sign) of the two.
-None of this shares code with the scanner: the recheck builds its own grid,
-and goes through the full rotated level-k charge.
+Its charges are not the scanner's rescaled polynomials, though charge_at
+reads the same stability._charge_ints numerators.  It shares _grid (the
+grid points) and _crosses (the cell predicate) with the scanner, so a
+fault in either is invisible to it; the scan tests against their own
+dense reference catch one.
 
 Emission is byte-deterministic: fixed orderings, exact "p/q" encodings in
 CSV and JSON, fixed float formatting in SVG.  The JSON text is the
@@ -72,6 +78,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .lattice import AbelianContext, CohClass, _require_match
@@ -193,9 +200,12 @@ def _runs(q: list[int], ss: list[int]) -> list[tuple[int, int]]:
     """The signs of Q on the increasing squares ss as runs (start row,
     sign): the first starts at row 0, and neighbouring runs differ in sign.
 
-    A Q of degree at most 1 is read off its one root: normalised to
-    q1 > 0, its signs run -, then at most one 0, then +.  A Q of higher
-    degree is evaluated at every square."""
+    Vanishing top coefficients are dropped first, so the path follows Q's
+    true degree.  A Q of degree at most 1 is read off its one root:
+    normalised to q1 > 0, its signs run -, then at most one 0, then +.  A Q
+    of higher degree is evaluated at every square."""
+    while len(q) > 2 and not q[-1]:
+        q = q[:-1]
     if len(q) > 2:
         runs: list[tuple[int, int]] = []
         for y, s in enumerate(ss):
@@ -306,7 +316,7 @@ class RecheckFailure:
     """An emitted cell that failed the recheck, with the signs of W at its
     corners (b, t), (b', t), (b, t'), (b', t'); corners is None when the
     cell's lower-left corner is not a grid point with a cell above and to
-    its right."""
+    its right, or when its wall index names no wall of the request."""
 
     cell: WallCell
     corners: tuple[int, int, int, int] | None
@@ -319,38 +329,30 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
     ts = _grid(req.t_range[0], req.t_range[1], nt)
     b_index = {b: i for i, b in enumerate(bs)}
     t_index = {t: j for j, t in enumerate(ts)}
-    # filled lazily in cell order, so a bad dataset stops at the same cell;
-    # grid point -> (beta, probe charge), and (wall, point) -> sign of W.
     # ScanRequest has checked k and t > 0, and its classes carry no shift,
-    # so the rotated kernel that charge wraps is called directly.
+    # so the rotated kernel that charge wraps is called directly.  The
+    # caches live for this call and fill in cell order, so a bad dataset
+    # stops at the same cell.
     ctx, k, v, walls = req.ctx, req.k, req.v, req.walls
-    probe: dict[tuple[int, int], tuple[SurdComplex, SurdComplex]] = {}
-    signs: dict[tuple[int, int, int], int] = {}
 
+    @cache
+    def probe_at(x: int, y: int) -> tuple[SurdComplex, SurdComplex]:
+        beta = SurdComplex._new(as_q3(bs[x]), as_q3(ts[y]))
+        return beta, charge_at(ctx, beta, v, k)
+
+    @cache
     def wall_sign(wi: int, x: int, y: int) -> int:
-        key = (wi, x, y)
-        s = signs.get(key)
-        if s is None:
-            at = probe.get((x, y))
-            if at is None:
-                beta = SurdComplex._new(as_q3(bs[x]), as_q3(ts[y]))
-                at = probe[x, y] = (beta, charge_at(ctx, beta, v, k))
-            beta, zv = at
-            s = signs[key] = _cross_sign(charge_at(ctx, beta, walls[wi], k), zv)
-        return s
+        beta, zv = probe_at(x, y)
+        return _cross_sign(charge_at(ctx, beta, walls[wi], k), zv)
 
     for cell in ds.cells:
         x = b_index.get(cell.b)
         y = t_index.get(cell.t)
-        if x is None or y is None or x + 1 >= nb or y + 1 >= nt:
-            return RecheckFailure(cell, None)
         wi = cell.w_index
-        quad = (
-            wall_sign(wi, x, y),
-            wall_sign(wi, x + 1, y),
-            wall_sign(wi, x, y + 1),
-            wall_sign(wi, x + 1, y + 1),
-        )
+        if x is None or y is None or x + 1 >= nb or y + 1 >= nt or not 0 <= wi < len(walls):
+            return RecheckFailure(cell, None)
+        quad = (wall_sign(wi, x, y), wall_sign(wi, x + 1, y),
+                wall_sign(wi, x, y + 1), wall_sign(wi, x + 1, y + 1))
         if not _crosses(quad):
             return RecheckFailure(cell, quad)
     return None

@@ -351,6 +351,32 @@ def test_usage_exit_codes(capsys):
     assert (rc, err) == (0, "") and out.startswith("usage: abelfm")
 
 
+# each verb's flags in the order its --help lists them
+VERB_FLAGS = {
+    "transform": ["--config", "--class"],
+    "charge": ["--config", "--class", "--k"],
+    "zeta": ["--config", "--u"],
+    "params": ["--config", "--k", "--lambda"],
+    "walls": ["--config", "--out", "--format", "--recheck"],
+    "verify": ["--suite"],
+}
+
+
+def test_help_lists_every_verb_and_its_flags_in_order(capsys):
+    rc, out, err = run(capsys, ["--help"])
+    assert (rc, err) == (0, "") and out.startswith("usage: abelfm")
+    assert "{" + ",".join(VERB_FLAGS) + "}" in out
+    listed = re.findall(r"^    (\w+) +\w", out, re.M)  # one help line per verb
+    assert listed == list(VERB_FLAGS)
+    for verb, flags in VERB_FLAGS.items():
+        rc, out, err = run(capsys, [verb, "--help"])
+        assert (rc, err) == (0, ""), verb
+        usage, _, options = out.partition("\n\n")
+        assert usage.startswith(f"usage: abelfm {verb} [-h]"), usage
+        assert re.findall(r"--\w+", usage) == flags
+        assert re.findall(r"^  (--\w+)", options, re.M) == flags
+
+
 def test_missing_config_exits_3(capsys, tmp_path):
     rc, _, err = run(
         capsys,

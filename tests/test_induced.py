@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelfm import induced
@@ -261,6 +261,19 @@ def test_law_sides_match_pointwise_charges(g):
                     assert _eval(rhs, rect) == z * charge_at(spec.dst, law.omega_dst.as_surd(), img, g)
 
 
+def test_law_verdicts_show_both_sides_at_u():
+    # with u in Q(sqrt3)[i], each verdict shows its two coefficient lists
+    # evaluated at u; _eval is a plain power sum, not the charge's Horner
+    spec = spec3()
+    basis = divided_power_basis(spec.src)
+    for angle in (F(1, 6), F(1, 2), F(2, 3)):  # rational and sqrt3 parts
+        u = PolarScalar(F(3, 2), angle)
+        rect = u.to_exact()
+        for e, verdict in zip(basis, verify_induced_law(spec, u, basis)):
+            lhs, rhs = law_sides(spec, e)
+            assert (verdict.lhs, verdict.rhs) == (_eval(lhs, rect), _eval(rhs, rect))
+
+
 @pytest.mark.parametrize("angle", [F(1, 3), F(1, 4), F(2, 5)])
 def test_perturbed_image_breaks_the_law(monkeypatch, angle):
     spec = spec3()
@@ -309,6 +322,7 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
     lam=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4).filter(lambda x: x > 0),
     make_root=st.booleans(),
 )
+@example(coeffs=[F(1)], j=2, lam=F(1), make_root=True)  # Phi_6 itself: a root, remainder 0
 def test_cyclotomic_zero_test_matches_exact_evaluation(coeffs, j, lam, make_root):
     u = PolarScalar(lam, F(j, 6))
     n = _order(j)

@@ -12,16 +12,23 @@ import importlib
 import inspect
 import pkgutil
 import textwrap
+from fractions import Fraction as F
 
 import pytest
 
 import abelfm
+import abelfm.induced
+import abelfm.lattice
 import abelfm.scan
 import abelfm.stability
 import abelfm.surd
+import abelfm.transform
+import test_induced
+import test_lattice
 import test_scan
 import test_stability
 import test_surd
+import test_transform
 
 
 def _mutant(module, name, old, new):
@@ -40,6 +47,11 @@ def _linear_example(case):
 
 def _merge_example(case):
     return lambda: test_scan.test_cell_rows_match_the_dense_cell_loop.hypothesis.inner_test(case)
+
+
+def _cyclotomic_example(**case):
+    test = test_induced.test_cyclotomic_zero_test_matches_exact_evaluation
+    return lambda: test.hypothesis.inner_test(**case)
 
 
 # (fault, defining module, function, snippet, replacement,
@@ -73,7 +85,7 @@ MUTANTS = [
     ),
     (
         "recheck-cache-keyed-without-the-wall",
-        abelfm.scan, "_first_bad_cell", "key = (wi, x, y)", "key = (x, y)",
+        abelfm.scan, "_first_bad_cell", "walls[wi]", "walls[0]",
         {abelfm.scan: test_scan.test_recheck_matches_the_per_cell_reference},
     ),
     (
@@ -96,6 +108,42 @@ MUTANTS = [
             # every corner sign flips: the same cells fail, with negated corners
             abelfm.scan: test_scan.test_recheck_matches_the_per_cell_reference,
         },
+    ),
+    (
+        "horner-ints-with-the-wrong-sign-of-im-im",
+        abelfm.stability, "_horner_ints", "- ia * ya", "+ ia * ya",
+        {
+            abelfm.stability: test_stability.test_level_one_truncated_charge_worked_example,
+            abelfm.induced: test_induced.test_law_verdicts_show_both_sides_at_u,
+        },
+    ),
+    (
+        "twist-with-the-sign-of-b-flipped",
+        abelfm.lattice, "twist", "_exp_ints(-as_fraction(b)", "_exp_ints(as_fraction(b)",
+        {
+            abelfm.lattice: test_lattice.test_v_vector_example,
+            abelfm.stability: test_stability.test_bg_check_twist_enters,
+            abelfm.induced: lambda: test_induced.test_law_sides_match_pointwise_charges(2),
+            abelfm.transform: test_transform.test_exp_image_closed_form,
+        },
+    ),
+    (
+        "conv-without-the-top-degree",
+        abelfm.lattice, "_conv", "range(g + 1 - i)", "range(g - i)",
+        {
+            abelfm.lattice: test_lattice.test_mul_truncates,
+            abelfm.transform: test_transform.test_apply_swaps_structure_and_point,
+        },
+    ),
+    (
+        "law-ints-without-the-source-sign",
+        abelfm.induced, "_law_ints", "[-x for x in ln]", "ln",
+        {abelfm.induced: lambda: test_induced.test_law_sides_match_pointwise_charges(2)},
+    ),
+    (
+        "vanishes-at-reads-the-quotient",
+        abelfm.induced, "_vanishes_at", "_cyclotomic(n))[1]", "_cyclotomic(n))[0]",
+        {abelfm.induced: _cyclotomic_example(coeffs=[F(1)], j=2, lam=F(1), make_root=True)},
     ),
 ]
 

@@ -282,6 +282,19 @@ def test_recheck_passes_and_catches_corruption():
     assert first_bad_cell(with_extra(off)) == RecheckFailure(off, None)
 
 
+@pytest.mark.parametrize("past_the_end", [False, True])
+def test_recheck_rejects_a_cell_that_names_no_wall(past_the_end):
+    # a copy of a real cell of the last wall, under an index that names no
+    # wall; -1 must not read the last wall through Python's negative index
+    ds = _example_dataset()
+    nw = len(ds.request.walls)
+    real = next(c for c in reversed(ds.cells) if c.w_index == nw - 1)
+    cell = replace(real, w_index=nw if past_the_end else -1)
+    bad = replace(ds, cells=ds.cells + (cell,))
+    assert first_bad_cell(bad) == RecheckFailure(cell, None)
+    assert not recheck_walls(bad)
+
+
 def _example_dataset():
     cfg = load_config(Path(__file__).parent / "data" / "example_scan.json")
     return scan_walls(scan_from(cfg, context_from(cfg)))
@@ -453,6 +466,35 @@ def test_zero_probe_is_degenerate_without_evaluating_the_grid(monkeypatch):
     ds = scan_walls(req)
     assert time.perf_counter() - start < 1.0
     assert ds.v_degenerate and ds.cells == () and ds.trivial_walls == (0, 1)
+
+
+@pytest.mark.parametrize("res", [(2, 2), (5, 7), (9, 9)])
+def test_walls_of_degree_at_most_one_take_no_horner_pass(monkeypatch, res):
+    # at k = 3 Q has three coefficients, but its s^2 one, p2_w*p3_v -
+    # p2_v*p3_w, does not depend on b and vanishes when the wall's (c0, c1)
+    # is proportional to the probe's; all of Q vanishes for a multiple of the
+    # probe, for a zero wall and against a zero probe.  Each such column is
+    # read off its one root: _horner runs only to find the probe's first
+    # nonzero grid point
+    ctx = AbelianContext(3, F(1))
+    v = CohClass(ctx, (F(6), F(3), F(1), F(-2)))
+    slope = CohClass(ctx, (F(2), F(1), F(5), F(-1)))
+    walls = (v.scale(F(-3, 2)), slope, CohClass.zero(ctx))
+    calls = 0
+    horner = abelfm.scan._horner
+
+    def counting(p, s):
+        nonlocal calls
+        calls += 1
+        return horner(p, s)
+
+    monkeypatch.setattr(abelfm.scan, "_horner", counting)
+    for probe, most, trivial in ((v, 2, (0, 2)), (CohClass.zero(ctx), 0, (0, 1, 2))):
+        calls = 0
+        req = ScanRequest(ctx, 3, probe, walls, (F(-2), F(2)), (F(1, 4), F(2)), res)
+        ds = scan_walls(req)
+        assert calls <= most and ds.trivial_walls == trivial
+        assert (ds.cells, ds.trivial_walls, ds.v_degenerate) == _dense_reference(req)
 
 
 def test_level_two_scan_at_the_resolution_cap():
