@@ -53,14 +53,17 @@ nonzero.
 
 recheck_walls walks the emitted cells in order and computes each charge it
 needs once per call: one probe charge per distinct cell corner, and one
-wall charge per distinct (wall, corner).  That is at most 8 charge_at
-calls per cell and at most walls + 1 per grid point; along a wall curve,
-where neighbouring cells share corners, it is about 4 per cell.  Each
-corner's beta = b + i*t is built once, both charges come from
-stability.charge_at, the rotated kernel that the public charge wraps, and
-the sign of W is one integer cross-sign (surd._cross_sign) of the two.
-Its charges are not the scanner's rescaled polynomials, though charge_at
-reads the same stability._charge_ints numerators.  It shares _grid (the
+wall charge per distinct (wall, corner).  That is at most 8 core
+evaluations per cell and at most walls + 1 per grid point; along a wall
+curve, where neighbouring cells share corners, it is about 4 per cell.
+Each class's integer numerators (stability._charge_ints) are built once
+per call, and each corner's beta = b + i*t once, as an integer tuple
+(b, 0, t, 0, D) from the grid's Fractions.  Both charges come from
+stability._horner_core, the rotated integer core that the public charge
+wraps, and the sign of W is one integer cross-sign (surd._cross_sign_ints)
+of the two tuples it returns; no Q3 or SurdComplex is built.  Its charges
+are not the scanner's rescaled polynomials, though both read the same
+stability._charge_ints numerators.  It shares _grid (the
 grid points) and _crosses (the cell predicate) with the scanner, so a
 fault in either is invisible to it; the scan tests against their own
 dense reference catch one.
@@ -83,9 +86,9 @@ from math import gcd, lcm
 
 from .lattice import AbelianContext, CohClass, _require_match
 from .literals import format_rational_frac
-from .stability import _charge_ints, _check_level, charge_at
+from .stability import _charge_ints, _check_level, _horner_core
 from .stability import charge  # noqa: F401  (scan.charge: perfbench's tracer rebinds it here)
-from .surd import SurdComplex, _cross_sign, as_fraction, as_q3
+from .surd import _cross_sign_ints, as_fraction
 
 
 @dataclass(frozen=True)
@@ -330,26 +333,32 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
     b_index = {b: i for i, b in enumerate(bs)}
     t_index = {t: j for j, t in enumerate(ts)}
     # ScanRequest has checked k and t > 0, and its classes carry no shift,
-    # so the rotated kernel that charge wraps is called directly.  The
-    # caches live for this call and fill in cell order, so a bad dataset
-    # stops at the same cell.
-    ctx, k, v, walls = req.ctx, req.k, req.v, req.walls
+    # so the rotated core that charge wraps is called directly on integer
+    # tuples, with each class's numerators built once.  The caches live for
+    # this call and fill in cell order, so a bad dataset stops at the same
+    # cell.
+    ctx, k = req.ctx, req.k
+    turns = ctx.g - k + 2  # -(i^(g-k)), as in charge_at
+    v_ints = _charge_ints(ctx, req.v, k)
+    w_ints = [_charge_ints(ctx, w, k) for w in req.walls]
 
     @cache
-    def probe_at(x: int, y: int) -> tuple[SurdComplex, SurdComplex]:
-        beta = SurdComplex._new(as_q3(bs[x]), as_q3(ts[y]))
-        return beta, charge_at(ctx, beta, v, k)
+    def probe_at(x: int, y: int) -> tuple[tuple, tuple]:
+        b, t = bs[x], ts[y]  # beta = b + i*t as surd._clear would clear it
+        d = lcm(b.denominator, t.denominator)
+        beta = (b.numerator * (d // b.denominator), 0, t.numerator * (d // t.denominator), 0, d)
+        return beta, _horner_core(*v_ints, beta, turns)
 
     @cache
     def wall_sign(wi: int, x: int, y: int) -> int:
         beta, zv = probe_at(x, y)
-        return _cross_sign(charge_at(ctx, beta, walls[wi], k), zv)
+        return _cross_sign_ints(_horner_core(*w_ints[wi], beta, turns), zv)
 
     for cell in ds.cells:
         x = b_index.get(cell.b)
         y = t_index.get(cell.t)
         wi = cell.w_index
-        if x is None or y is None or x + 1 >= nb or y + 1 >= nt or not 0 <= wi < len(walls):
+        if x is None or y is None or x + 1 >= nb or y + 1 >= nt or not 0 <= wi < len(w_ints):
             return RecheckFailure(cell, None)
         quad = (wall_sign(wi, x, y), wall_sign(wi, x + 1, y),
                 wall_sign(wi, x, y + 1), wall_sign(wi, x + 1, y + 1))
@@ -360,15 +369,16 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
 
 def recheck_walls(ds: WallDataset) -> bool:
     """Independent soundness pass: recompute the four corner values of every
-    emitted cell through the exact rotated charge (stability.charge_at, the
-    kernel of the public charge) and confirm the sign-change predicate.
-    Returns True when every cell passes.
+    emitted cell through the exact rotated charge (stability._horner_core,
+    the integer core of the public charge) and confirm the sign-change
+    predicate.  Returns True when every cell passes.
 
     Each charge is computed once per call: one probe charge per distinct
-    corner plus one wall charge per distinct (wall, corner), at most 8 per
-    cell and at most walls + 1 per grid point.  Each distinct corner builds
-    its beta once, and the sign of W at it is one integer cross-sign of the
-    two charges."""
+    corner plus one wall charge per distinct (wall, corner), at most 8 core
+    evaluations per cell and at most walls + 1 per grid point.  Each class's
+    numerators are built once, each distinct corner builds its beta tuple
+    once, and the sign of W at it is one integer cross-sign of the two
+    charge tuples."""
     return _first_bad_cell(ds) is None
 
 
@@ -475,6 +485,9 @@ def emit_svg(ds: WallDataset) -> str:
         )
     by_wall: list[list[WallCell]] = [[] for _ in req.walls]
     for cell in ds.cells:
+        if not 0 <= cell.w_index < len(by_wall):
+            raise ValueError(f"cell at b = {cell.b}, t = {cell.t} has wall index {cell.w_index}, "
+                             f"but the request has {len(by_wall)} walls")
         by_wall[cell.w_index].append(cell)
     for wi, cells in enumerate(by_wall):
         color = _PALETTE[wi % len(_PALETTE)]

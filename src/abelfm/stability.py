@@ -12,11 +12,15 @@ untruncated charge of the full class.  The sum is written once, in
 _charge_ints, as integer numerators N_m of its coefficients in beta over one
 denominator.  It is the only charge polynomial in the package: the wall
 scanner and the induced charge law read it too, the latter after moving
-beta by a B-field twist of the class (lattice.twist).  charge_at evaluates
-it with one integer kernel: beta's two Q(sqrt 3) parts are cleared to one
-denominator D, a homogenised Horner pass runs on integer 4-tuples (Re and Im
-in Z[sqrt 3]), the -i^(g-k) turn permutes and negates the tuple, and the two
-Q3 parts of the result are built once, at the end.
+beta by a B-field twist of the class (lattice.twist).  It is evaluated by
+one integer core, _horner_core, on the tuples of surd._clear: beta's two
+Q(sqrt 3) parts over one denominator D go in as (Re a, Re b, Im a, Im b, D),
+a homogenised Horner pass runs on integer 4-tuples (Re and Im in
+Z[sqrt 3]), the quarter turns permute and negate the tuple, and the value
+comes out as one such tuple, unreduced.  charge_at applies the -i^(g-k)
+turn through the wrapper _horner_ints, which builds the two Q3 parts once,
+at the end; the wall recheck calls the core itself and signs its tuples
+with surd._cross_sign_ints, building no Q3.
 
 The level rule (k an integer in 1..g) is written once, in _check_level,
 which ChargeSpec and scan.ScanRequest both call; bg_check validates its
@@ -40,11 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import atan2, factorial, floor, lcm, pi
+from math import atan2, factorial, floor, pi
 from typing import Sequence
 
 from .lattice import AbelianContext, CohClass, ShiftedClass, _require_match, twist
-from .surd import Q3, SurdComplex, _cross_sign, as_fraction, as_q3, direction_pi
+from .surd import Q3, SurdComplex, _clear, _cross_sign, as_fraction, as_q3, direction_pi
 
 
 class HeartValueError(ValueError):
@@ -104,19 +108,16 @@ def _charge_ints(ctx: AbelianContext, e: CohClass, k: int) -> tuple[list[int], i
     return nums, n.denominator * c_den * factorial(g)
 
 
-def _horner_ints(nums: Sequence[int], den: int, beta: SurdComplex, turns: int) -> SurdComplex:
-    """i^turns * sum_m (nums[m]/den) * beta^m for integers nums and den > 0.
+def _horner_core(nums: Sequence[int], den: int, beta: tuple, turns: int) -> tuple:
+    """i^turns * sum_m (nums[m]/den) * beta^m for integers nums and den > 0,
+    with beta and the result as (Re a, Re b, Im a, Im b, D) tuples
+    (surd._clear); the result's D is den * D_beta^deg, unreduced.
 
-    With beta = (X + i*Y)/D, X and Y in Z[sqrt 3] over the common
-    denominator D of its parts, the homogenised Horner step
-    acc <- acc * (X + i*Y) + nums[m] * D^(deg - m) ends at D^deg times the
-    sum.  acc is an integer 4-tuple (Re and Im in Z[sqrt 3]); the quarter
-    turns permute and negate it, and the two Q3 parts are built last."""
-    a1, b1, d1 = beta.re._abd
-    a2, b2, d2 = beta.im._abd
-    d = lcm(d1, d2)
-    xa, xb = a1 * (d // d1), b1 * (d // d1)
-    ya, yb = a2 * (d // d2), b2 * (d // d2)
+    With beta = (X + i*Y)/D, X and Y in Z[sqrt 3], the homogenised Horner
+    step acc <- acc * (X + i*Y) + nums[m] * D^(deg - m) ends at D^deg times
+    the sum.  acc is an integer 4-tuple (Re and Im in Z[sqrt 3]); the
+    quarter turns permute and negate it."""
+    xa, xb, ya, yb, d = beta
     ra, rb, ia, ib = nums[-1], 0, 0, 0
     dp = 1  # D^(deg - m)
     for m in range(len(nums) - 2, -1, -1):
@@ -132,7 +133,12 @@ def _horner_ints(nums: Sequence[int], den: int, beta: SurdComplex, turns: int) -
         ra, rb, ia, ib = -ra, -rb, -ia, -ib
     if turns & 1:
         ra, rb, ia, ib = -ia, -ib, ra, rb
-    q = den * dp
+    return ra, rb, ia, ib, den * dp
+
+
+def _horner_ints(nums: Sequence[int], den: int, beta: SurdComplex, turns: int) -> SurdComplex:
+    """_horner_core on a SurdComplex beta, its two Q3 parts built last."""
+    ra, rb, ia, ib, q = _horner_core(nums, den, _clear(beta), turns)
     return SurdComplex._new(Q3._new(ra, rb, q), Q3._new(ia, ib, q))
 
 

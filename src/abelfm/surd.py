@@ -27,9 +27,14 @@ any other operand gives NotImplemented.  Each operation then has one formula;
 only the Q3 product keeps a second one, for two rationals.
 
 The sign of a + b*sqrt 3 for integers a and b is decided in one place,
-_sign3.  _cross_sign(u, w), the sign of Im(conj(u) * w), reads it straight
-off the four triples of u and w without building an intermediate Q3; the
-recheck's wall sign and stability's phase side both use it.
+_sign3.  A complex value cleared to one denominator D > 0 is the integer
+tuple (Re a, Re b, Im a, Im b, D) standing for
+((Re a + Re b*sqrt 3) + i*(Im a + Im b*sqrt 3))/D; _clear makes it from a
+SurdComplex.  The sign of Im(conj(u) * w) is written once, on two such
+tuples, in _cross_sign_ints, with no intermediate Q3.  The recheck's wall
+sign calls it on the tuples that stability's Horner core returns;
+_cross_sign(u, w) clears two SurdComplex values and calls it, for
+stability's phase side.
 
 Everything in this module is immutable and hashable.
 """
@@ -348,19 +353,31 @@ _set_re = SurdComplex.__dict__["re"].__set__
 _set_im = SurdComplex.__dict__["im"].__set__
 
 
-def _cross_sign(u: SurdComplex, w: SurdComplex) -> int:
-    """sign(u.re * w.im - u.im * w.re), the sign of Im(conj(u) * w), read
-    off the four canonical triples: over the common denominator
-    d1*d2*d3*d4 > 0 the difference is a + b*sqrt 3 with integers a and b,
-    and one sign test in Z[sqrt 3] decides it."""
-    a1, b1, d1 = u.re._abd
-    a2, b2, d2 = u.im._abd
-    a3, b3, d3 = w.re._abd
-    a4, b4, d4 = w.im._abd
-    p, q = d2 * d3, d1 * d4
-    a = a1 * a4 * p - a2 * a3 * q + 3 * (b1 * b4 * p - b2 * b3 * q)
-    b = (a1 * b4 + b1 * a4) * p - (a2 * b3 + b2 * a3) * q
+def _clear(z: SurdComplex) -> tuple[int, int, int, int, int]:
+    """z as the integer tuple (Re a, Re b, Im a, Im b, D) with
+    z = ((Re a + Re b*sqrt 3) + i*(Im a + Im b*sqrt 3))/D, D the lcm of the
+    denominators of its two parts."""
+    a1, b1, d1 = z.re._abd
+    a2, b2, d2 = z.im._abd
+    d = lcm(d1, d2)
+    return a1 * (d // d1), b1 * (d // d1), a2 * (d // d2), b2 * (d // d2), d
+
+
+def _cross_sign_ints(u: tuple, w: tuple) -> int:
+    """sign Im(conj(u) * w) for u and w given as (Re a, Re b, Im a, Im b, D)
+    tuples with D > 0: the denominators are positive and drop out, and
+    u.re * w.im - u.im * w.re is a + b*sqrt 3 with integers a and b, which
+    one sign test in Z[sqrt 3] decides."""
+    ua, ub, uc, ud, _ = u
+    wa, wb, wc, wd, _ = w
+    a = ua * wc - uc * wa + 3 * (ub * wd - ud * wb)
+    b = ua * wd + ub * wc - uc * wb - ud * wa
     return _sign3(a, b)
+
+
+def _cross_sign(u: SurdComplex, w: SurdComplex) -> int:
+    """sign(u.re * w.im - u.im * w.re), the sign of Im(conj(u) * w)."""
+    return _cross_sign_ints(_clear(u), _clear(w))
 
 
 def normalize_angle(a: Fraction) -> Fraction:

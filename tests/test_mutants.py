@@ -49,6 +49,10 @@ def _merge_example(case):
     return lambda: test_scan.test_cell_rows_match_the_dense_cell_loop.hypothesis.inner_test(case)
 
 
+def _recheck_example(g, k):
+    return lambda: test_scan.test_recheck_matches_the_per_cell_reference(g, k)
+
+
 def _cyclotomic_example(**case):
     test = test_induced.test_cyclotomic_zero_test_matches_exact_evaluation
     return lambda: test.hypothesis.inner_test(**case)
@@ -85,37 +89,67 @@ MUTANTS = [
     ),
     (
         "recheck-cache-keyed-without-the-wall",
-        abelfm.scan, "_first_bad_cell", "walls[wi]", "walls[0]",
-        {abelfm.scan: test_scan.test_recheck_matches_the_per_cell_reference},
+        abelfm.scan, "_first_bad_cell", "w_ints[wi]", "w_ints[0]",
+        {abelfm.scan: _recheck_example(2, 2)},
     ),
     (
         "cross-sign-without-the-3-of-the-b-b-term",
-        abelfm.surd, "_cross_sign", "3 * (b1 * b4", "(b1 * b4",
+        abelfm.surd, "_cross_sign_ints", "3 * (ub * wd", "(ub * wd",
         {
             abelfm.surd: test_surd.test_cross_sign_matches_the_fraction_reference,
-            abelfm.stability: test_stability.test_side_matches_the_q3_cross_product,
             # a scan's charges are rational, so every sqrt 3 part it multiplies is 0
             abelfm.scan: None,
         },
     ),
     (
         "cross-sign-with-its-arguments-swapped",
-        abelfm.surd, "_cross_sign", "def _cross_sign(u: SurdComplex, w: SurdComplex)",
-        "def _cross_sign(w: SurdComplex, u: SurdComplex)",
+        abelfm.surd, "_cross_sign_ints", "def _cross_sign_ints(u: tuple, w: tuple)",
+        "def _cross_sign_ints(w: tuple, u: tuple)",
+        {
+            abelfm.surd: test_surd.test_cross_sign_matches_the_fraction_reference,
+            # every corner sign flips: the same cells fail, with negated corners
+            abelfm.scan: _recheck_example(2, 2),
+        },
+    ),
+    (
+        "cross-sign-clears-its-arguments-swapped",
+        abelfm.surd, "_cross_sign", "_cross_sign_ints(_clear(u), _clear(w))",
+        "_cross_sign_ints(_clear(w), _clear(u))",
         {
             abelfm.surd: test_surd.test_cross_sign_matches_the_fraction_reference,
             abelfm.stability: test_stability.test_side_matches_the_q3_cross_product,
-            # every corner sign flips: the same cells fail, with negated corners
-            abelfm.scan: test_scan.test_recheck_matches_the_per_cell_reference,
         },
     ),
     (
         "horner-ints-with-the-wrong-sign-of-im-im",
-        abelfm.stability, "_horner_ints", "- ia * ya", "+ ia * ya",
+        abelfm.stability, "_horner_core", "- ia * ya", "+ ia * ya",
+        {
+            abelfm.stability: test_stability.test_level_one_truncated_charge_worked_example,
+            abelfm.scan: _recheck_example(2, 2),
+        },
+    ),
+    (
+        "horner-wrapper-with-the-parts-of-im-swapped",
+        abelfm.stability, "_horner_ints", "Q3._new(ia, ib, q)", "Q3._new(ib, ia, q)",
         {
             abelfm.stability: test_stability.test_level_one_truncated_charge_worked_example,
             abelfm.induced: test_induced.test_law_verdicts_show_both_sides_at_u,
         },
+    ),
+    (
+        "phase-cmp-excludes-the-top-bound",
+        abelfm.stability, "phase_cmp", "if y > 1:", "if y >= 1:",
+        {abelfm.stability: test_stability.test_phase_cmp_boundary_values},
+    ),
+    (
+        "phase-cmp-misses-a-phase-on-the-lower-twelfth",
+        abelfm.stability, "phase_cmp", "_side(z, lo) <= 0", "_side(z, lo) < 0",
+        {abelfm.stability: test_stability.test_phase_cmp_exact_beside_a_twelfth},
+    ),
+    (
+        "sum-loses-the-sign-of-the-sqrt-3-part",
+        abelfm.surd, "_sum", "b1 * d2 + b2 * m", "b1 * d2 + b2 * d1",
+        {abelfm.surd: test_surd.test_q3_sign_is_exact_near_sqrt3},
     ),
     (
         "twist-with-the-sign-of-b-flipped",

@@ -40,7 +40,7 @@ from abelfm.scan import (
     render,
     scan_walls,
 )
-from abelfm.stability import ChargeSpec, charge
+from abelfm.stability import ChargeSpec, _charge_ints, charge
 from abelfm.transform import FMTransformSpec, apply
 
 F = Fraction
@@ -282,15 +282,20 @@ def test_recheck_passes_and_catches_corruption():
     assert first_bad_cell(with_extra(off)) == RecheckFailure(off, None)
 
 
-@pytest.mark.parametrize("past_the_end", [False, True])
-def test_recheck_rejects_a_cell_that_names_no_wall(past_the_end):
-    # a copy of a real cell of the last wall, under an index that names no
-    # wall; -1 must not read the last wall through Python's negative index
+def _with_a_cell_that_names_no_wall(past_the_end):
+    """The shipped example plus a copy of a real cell of its last wall,
+    under the index len(walls) or -1, which names no wall."""
     ds = _example_dataset()
     nw = len(ds.request.walls)
     real = next(c for c in reversed(ds.cells) if c.w_index == nw - 1)
     cell = replace(real, w_index=nw if past_the_end else -1)
-    bad = replace(ds, cells=ds.cells + (cell,))
+    return cell, replace(ds, cells=ds.cells + (cell,))
+
+
+@pytest.mark.parametrize("past_the_end", [False, True])
+def test_recheck_rejects_a_cell_that_names_no_wall(past_the_end):
+    # -1 must not read the last wall through Python's negative index
+    cell, bad = _with_a_cell_that_names_no_wall(past_the_end)
     assert first_bad_cell(bad) == RecheckFailure(cell, None)
     assert not recheck_walls(bad)
 
@@ -331,12 +336,24 @@ def _first_bad_cell_reference(ds):
     return None
 
 
-def _corrupted_examples():
+def _seeded_dataset(g, k):
+    """The shipped example at g = k = 2; otherwise a seeded scan of three
+    random walls at level k, on a grid whose b and t values have unequal
+    denominators, so that each corner's beta has its own."""
+    if (g, k) == (2, 2):
+        return _example_dataset()
+    rng = random.Random(f"recheck:{g}:{k}")
+    ctx = AbelianContext(g, F(5, 2))
+    v, *walls = _random_classes(rng, ctx, 4)
+    req = ScanRequest(ctx, k, v, tuple(walls), (F(-5, 2), F(7, 3)), (F(1, 7), F(3)), (23, 19))
+    return scan_walls(req)
+
+
+def _corrupted_examples(ds):
     """(dataset, first inserted cell, whether it is a grid cell) for seeded
-    corruptions of the shipped example: a grid cell it does not emit (all
-    four corner signs equal), an off-grid cell, a cell in the last grid
-    column or row, and two non-emitted cells at once."""
-    ds = _example_dataset()
+    corruptions of ds: a grid cell it does not emit (all four corner signs
+    equal), an off-grid cell, a cell in the last grid column or row, and
+    two non-emitted cells at once."""
     req = ds.request
     nb, nt = req.resolution
     bs, ts = _grid_axes(req)
@@ -373,10 +390,12 @@ def _corrupted_examples():
         yield inserted([quiet_cell(), quiet_cell()], True)
 
 
-def test_recheck_matches_the_per_cell_reference():
-    ds = _example_dataset()
+@pytest.mark.parametrize("g,k", [(2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+def test_recheck_matches_the_per_cell_reference(g, k):
+    ds = _seeded_dataset(g, k)
+    assert (len(ds.cells) > 0) == (k > 1)  # level-1 scans emit no cells
     assert first_bad_cell(ds) is None and _first_bad_cell_reference(ds) is None
-    for bad, first, on_grid in _corrupted_examples():
+    for bad, first, on_grid in _corrupted_examples(ds):
         got = first_bad_cell(bad)
         assert got == _first_bad_cell_reference(bad)
         assert got.cell == first
@@ -388,8 +407,8 @@ def test_recheck_matches_the_per_cell_reference():
 
 def test_recheck_charges_each_corner_once(monkeypatch):
     # one probe charge per distinct corner, one wall charge per distinct
-    # (wall, corner), each through the rotated kernel charge_at; the
-    # per-cell reference makes 8 public charge calls a cell, 2,768 here
+    # (wall, corner), each through the rotated integer core; the per-cell
+    # reference makes 8 public charge calls a cell, 2,768 here
     ds = _example_dataset()
     req = ds.request
     bs, ts = _grid_axes(req)
@@ -398,13 +417,15 @@ def test_recheck_charges_each_corner_once(monkeypatch):
     assert len(ds.cells) == 346
     assert len({(b, t) for _, b, t in corners}) == 668 and len(corners) == 696
     calls = {"probe": 0, "wall": 0}
-    kernel = abelfm.scan.charge_at
+    probe = _charge_ints(req.ctx, req.v, req.k)
+    assert all(_charge_ints(req.ctx, w, req.k) != probe for w in req.walls)
+    core = abelfm.scan._horner_core
 
-    def counting(ctx, beta, e, k):
-        calls["probe" if e == req.v else "wall"] += 1
-        return kernel(ctx, beta, e, k)
+    def counting(nums, den, beta, turns):
+        calls["probe" if (nums, den) == probe else "wall"] += 1
+        return core(nums, den, beta, turns)
 
-    monkeypatch.setattr(abelfm.scan, "charge_at", counting)
+    monkeypatch.setattr(abelfm.scan, "_horner_core", counting)
     assert recheck_walls(ds)
     assert calls == {"probe": 668, "wall": 696}
 
@@ -639,6 +660,18 @@ def test_svg_structure():
     assert 'data-wall="0"' in svg and 'data-wall="1"' in svg
     assert "#1f77b4" in svg and "#d62728" in svg
     assert ">b</text>" in svg and ">t</text>" in svg
+
+
+@pytest.mark.parametrize("past_the_end", [False, True])
+def test_svg_rejects_a_cell_that_names_no_wall(tmp_path, past_the_end):
+    # -1 must not draw the cell in the last wall's group, and len(walls)
+    # must not raise IndexError
+    cell, bad = _with_a_cell_that_names_no_wall(past_the_end)
+    out = tmp_path / "w.svg"
+    for draw in (emit_svg, lambda d: render(d, "svg"), lambda d: emit(d, "svg", out)):
+        with pytest.raises(ValueError, match=f"t = {cell.t} has wall index {cell.w_index},"):
+            draw(bad)
+    assert not out.exists()
 
 
 def test_emission_deterministic_and_file_roundtrip(tmp_path):

@@ -244,7 +244,9 @@ def test_side_matches_the_q3_cross_product():
 
 def test_phase_cmp_exact_beside_a_twelfth():
     # Z = 2 + i(4 + 2 sqrt3) has phase exactly 5/12; bounds 1e-20 away are
-    # below float resolution and are decided by the twelfth itself
+    # below float resolution and are decided by the twelfth itself; through
+    # the module, so tests/test_mutants.py can fault it
+    phase_cmp = abelfm.stability.phase_cmp
     c1 = AbelianContext(1, F(1))
     spec = ChargeSpec(c1, 1, F(0), Q3(4, 2))
     e = CohClass(c1, (F(1), F(-2)))
@@ -304,6 +306,8 @@ def test_phase_cmp_matches_float_reference(c0, c1, b, t, bound):
 
 
 def test_phase_cmp_boundary_values():
+    # through the module, so tests/test_mutants.py can fault it
+    phase_cmp = abelfm.stability.phase_cmp
     ctx = ctx2()
     spec = ChargeSpec(ctx, 2)
     p = skyscraper(ctx)  # phase exactly 1
