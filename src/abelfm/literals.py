@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .surd import Q3
+from .surd import Q3, as_fraction
 
 _RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -34,8 +34,10 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_rational_frac(x: Fraction) -> str:
-    """Always "p/q", used in emitted datasets."""
-    x = Fraction(x)
+    """Always "p/q", used in emitted datasets.  Only an int or a Fraction
+    is accepted: a float or bool raises TypeError rather than printing its
+    binary expansion or 1/1."""
+    x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -17,9 +17,9 @@ rotated charge instead, which also exercises that cancellation.
 
 The scanner makes one pass over the b columns of the grid, with every
 coordinate cleared to an integer by one common scale, the lcm of the
-denominators of the first point and the step on each axis.  The grid's
-integer b and T values are arithmetic progressions; Fractions are made
-only for the t axis and for the b of a column that emits a cell.  Per
+denominators of the first point and the step on each axis (_grid).  The
+grid's integer b and T values are arithmetic progressions; a Fraction is
+made only for the b of a column and the t of a row that emit a cell.  Per
 column it expands each class's P at b + i*T in T by repeated synthetic
 division, P(b + i*T) = R(T^2) + i*T*I(T^2), and forms
 Q = R_w * I_v - R_v * I_w, so that W = T * Q(T^2).  T > 0 on the grid, so
@@ -56,17 +56,20 @@ needs once per call: one probe charge per distinct cell corner, and one
 wall charge per distinct (wall, corner).  That is at most 8 core
 evaluations per cell and at most walls + 1 per grid point; along a wall
 curve, where neighbouring cells share corners, it is about 4 per cell.
+It reads the grid as the scanner does, as integer axes: a cell's b and t
+are mapped to grid indices by integer arithmetic (_axis_index), so its
+cost is O(cells + distinct corners), whatever the size of the grid.
 Each class's integer numerators (stability._charge_ints) are built once
-per call, and each corner's beta = b + i*t once, as an integer tuple
-(b, 0, t, 0, D) from the grid's Fractions.  Both charges come from
-stability._horner_core, the rotated integer core that the public charge
-wraps, and the sign of W is one integer cross-sign (surd._cross_sign_ints)
-of the two tuples it returns; no Q3 or SurdComplex is built.  Its charges
-are not the scanner's rescaled polynomials, though both read the same
-stability._charge_ints numerators.  It shares _grid (the
-grid points) and _crosses (the cell predicate) with the scanner, so a
-fault in either is invisible to it; the scan tests against their own
-dense reference catch one.
+per call, and each corner's beta = b + i*t once, as the integer tuple
+(b start + x * b step, 0, t start + y * t step, 0, scale).  Both charges
+come from stability._horner_core, the rotated integer core that the
+public charge wraps, and the sign of W is one integer cross-sign
+(surd._cross_sign_ints) of the two tuples it returns; no Q3, SurdComplex
+or Fraction is built.  Its charges are not the scanner's rescaled
+polynomials, though both read the same stability._charge_ints numerators.
+It shares _grid (the integer axes) and _crosses (the cell predicate) with
+the scanner, so a fault in either is invisible to it; the scan tests
+against their own dense reference catch one.
 
 Emission is byte-deterministic: fixed orderings, exact "p/q" encodings in
 CSV and JSON, fixed float formatting in SVG.  The JSON text is the
@@ -148,9 +151,37 @@ class WallDataset:
     v_degenerate: bool
 
 
-def _grid(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _grid(req: ScanRequest) -> tuple[int, int, int, int, int]:
+    """The grid as integer axes (scale, b start, b step, t start, t step):
+    grid point (x, y) is b = (b start + x * b step) / scale,
+    t = (t start + y * t step) / scale, and both steps are positive.
+
+    The first point and the step (a difference of two grid points) on each
+    axis have denominators that divide the lcm over all grid points, and
+    every grid point is an integer combination of them, so scale is that
+    lcm."""
+    nb, nt = req.resolution
+    (b0, b1), (t0, t1) = req.b_range, req.t_range
+    db, dt = (b1 - b0) / (nb - 1), (t1 - t0) / (nt - 1)
+    scale = lcm(b0.denominator, db.denominator, t0.denominator, dt.denominator)
+    return scale, int(b0 * scale), int(db * scale), int(t0 * scale), int(dt * scale)
+
+
+def _axis_index(v, scale: int, start: int, step: int, count: int) -> int | None:
+    """The i in range(count) with v == (start + i * step) / scale, for a
+    step > 0; None when v is no such point or not an int or Fraction.
+
+    v = p/q in lowest terms equals some N/scale exactly when q divides
+    scale, and then N = p * (scale // q)."""
+    try:
+        v = as_fraction(v)
+    except TypeError:  # a float or bool is no grid point, even one equal to it
+        return None
+    q = v.denominator
+    if scale % q:
+        return None
+    i, r = divmod(v.numerator * (scale // q) - start, step)
+    return i if not r and 0 <= i < count else None
 
 
 def _int_charge_coeffs(cls: CohClass, k: int, scale: int) -> list[int]:
@@ -267,19 +298,10 @@ def scan_walls(req: ScanRequest) -> WallDataset:
     column at a time, and collect the sign-change cells, ordered by wall
     index, then b, then t."""
     nb, nt = req.resolution
-    (b0, b1), (t0, t1) = req.b_range, req.t_range
-    db, dt = (b1 - b0) / (nb - 1), (t1 - t0) / (nt - 1)
-    ts = _grid(t0, t1, nt)
-
-    # clear all grid denominators with one integer scale.  The first point
-    # and the step (a difference of two grid points) have denominators that
-    # divide the lcm over all grid points, and every grid point is an
-    # integer combination of them, so this scale is that lcm.  W depends on
-    # t through T^2 alone once its positive factor T is dropped.
-    scale = lcm(b0.denominator, db.denominator, t0.denominator, dt.denominator)
-    bi0, dbi = int(b0 * scale), int(db * scale)
-    ti0, dti = int(t0 * scale), int(dt * scale)
+    # W depends on t through T^2 alone once its positive factor T is dropped
+    scale, bi0, dbi, ti0, dti = _grid(req)
     ss = [(ti0 + y * dti) ** 2 for y in range(nt)]
+    row_t = cache(lambda y: Fraction(ti0 + y * dti, scale))  # made once per emitting row
 
     pv, *pws = (_int_charge_coeffs(cls, req.k, scale) for cls in (req.v, *req.walls))
     nw = len(pws)
@@ -306,7 +328,7 @@ def scan_walls(req: ScanRequest) -> WallDataset:
                 if rows:
                     if b is None:
                         b = Fraction(zb - dbi, scale)
-                    found[wi].extend(WallCell(wi, b, ts[y]) for y in rows)
+                    found[wi].extend(WallCell(wi, b, row_t(y)) for y in rows)
         prev = col
 
     trivial = tuple(wi for wi in range(nw) if not nonzero[wi])
@@ -328,10 +350,7 @@ class RecheckFailure:
 def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
     req = ds.request
     nb, nt = req.resolution
-    bs = _grid(req.b_range[0], req.b_range[1], nb)
-    ts = _grid(req.t_range[0], req.t_range[1], nt)
-    b_index = {b: i for i, b in enumerate(bs)}
-    t_index = {t: j for j, t in enumerate(ts)}
+    scale, bi0, dbi, ti0, dti = _grid(req)
     # ScanRequest has checked k and t > 0, and its classes carry no shift,
     # so the rotated core that charge wraps is called directly on integer
     # tuples, with each class's numerators built once.  The caches live for
@@ -344,9 +363,7 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
 
     @cache
     def probe_at(x: int, y: int) -> tuple[tuple, tuple]:
-        b, t = bs[x], ts[y]  # beta = b + i*t as surd._clear would clear it
-        d = lcm(b.denominator, t.denominator)
-        beta = (b.numerator * (d // b.denominator), 0, t.numerator * (d // t.denominator), 0, d)
+        beta = (bi0 + x * dbi, 0, ti0 + y * dti, 0, scale)  # b + i*t over scale > 0
         return beta, _horner_core(*v_ints, beta, turns)
 
     @cache
@@ -355,10 +372,11 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
         return _cross_sign_ints(_horner_core(*w_ints[wi], beta, turns), zv)
 
     for cell in ds.cells:
-        x = b_index.get(cell.b)
-        y = t_index.get(cell.t)
+        # a lower-left corner has a grid point above and to its right
+        x = _axis_index(cell.b, scale, bi0, dbi, nb - 1)
+        y = _axis_index(cell.t, scale, ti0, dti, nt - 1)
         wi = cell.w_index
-        if x is None or y is None or x + 1 >= nb or y + 1 >= nt or not 0 <= wi < len(w_ints):
+        if x is None or y is None or not 0 <= wi < len(w_ints):
             return RecheckFailure(cell, None)
         quad = (wall_sign(wi, x, y), wall_sign(wi, x + 1, y),
                 wall_sign(wi, x, y + 1), wall_sign(wi, x + 1, y + 1))
@@ -375,10 +393,13 @@ def recheck_walls(ds: WallDataset) -> bool:
 
     Each charge is computed once per call: one probe charge per distinct
     corner plus one wall charge per distinct (wall, corner), at most 8 core
-    evaluations per cell and at most walls + 1 per grid point.  Each class's
-    numerators are built once, each distinct corner builds its beta tuple
-    once, and the sign of W at it is one integer cross-sign of the two
-    charge tuples."""
+    evaluations per cell and at most walls + 1 per grid point.  Each cell's
+    corner is found on the integer grid by arithmetic, with no per-point
+    table, so the cost is O(cells + distinct corners) and independent of
+    the resolution.  A cell whose b or t is a float or a bool fails, even
+    where it equals a grid point.  Each class's numerators are built once,
+    each distinct corner builds its beta tuple once, and the sign of W at
+    it is one integer cross-sign of the two charge tuples."""
     return _first_bad_cell(ds) is None
 
 

@@ -53,6 +53,10 @@ def _recheck_example(g, k):
     return lambda: test_scan.test_recheck_matches_the_per_cell_reference(g, k)
 
 
+def _axis_example(case):
+    return lambda: test_scan.test_axis_index_matches_a_plain_lookup.hypothesis.inner_test(case)
+
+
 def _cyclotomic_example(**case):
     test = test_induced.test_cyclotomic_zero_test_matches_exact_evaluation
     return lambda: test.hypothesis.inner_test(**case)
@@ -91,6 +95,18 @@ MUTANTS = [
         "recheck-cache-keyed-without-the-wall",
         abelfm.scan, "_first_bad_cell", "w_ints[wi]", "w_ints[0]",
         {abelfm.scan: _recheck_example(2, 2)},
+    ),
+    (
+        "axis-index-without-the-step-remainder",
+        abelfm.scan, "_axis_index", "not r and ", "",
+        # 3/2 on the axis 0, 1, 2, 3 at scale 2 reads as the point below
+        {abelfm.scan: _axis_example((F(0), F(1), 4, 2, F(3, 2)))},
+    ),
+    (
+        "axis-index-without-the-scale-test",
+        abelfm.scan, "_axis_index", "    if scale % q:\n        return None\n", "",
+        # 5/2 at scale 1: 1 // 2 == 0 reads it as the first point
+        {abelfm.scan: _axis_example((F(0), F(1), 4, 1, F(5, 2)))},
     ),
     (
         "cross-sign-without-the-3-of-the-b-b-term",

@@ -249,6 +249,16 @@ def test_level_one_scans_emit_no_cells(g):
     assert len(ds.trivial_walls) < len(walls)  # some wall is a genuine W != 0
 
 
+@pytest.mark.parametrize("emitter", [emit_csv, emit_json])
+def test_emitters_refuse_a_float_or_bool_coordinate(emitter):
+    # a float would print as its binary expansion, a bool as 1/1
+    ds = _dyadic_dataset()
+    cell = ds.cells[0]
+    for bad in (replace(cell, b=-2 / 199), replace(cell, t=True)):
+        with pytest.raises(TypeError):
+            emitter(replace(ds, cells=(bad,)))
+
+
 def test_cell_order_is_wall_then_b_then_t():
     ctx = ctx2()
     ds = scan_walls(small_request([line_bundle(ctx, F(1)), skyscraper(ctx)], res=(17, 17)))
@@ -280,6 +290,80 @@ def test_recheck_passes_and_catches_corruption():
     off = WallCell(0, F(3, 2), F(1, 2))
     assert not recheck_walls(with_extra(off))
     assert first_bad_cell(with_extra(off)) == RecheckFailure(off, None)
+
+
+def _dyadic_dataset():
+    """A level-2 scan whose grid steps, 1/4 in b and 1/8 in t, are dyadic,
+    so a float can equal a grid point exactly."""
+    ctx = ctx2()
+    req = ScanRequest(ctx, 2, structure_sheaf(ctx), (skyscraper(ctx),),
+                      (F(-2), F(2)), (F(1, 4), F(2)), (17, 15))
+    return scan_walls(req)
+
+
+def test_recheck_rejects_a_float_or_bool_coordinate():
+    # 0.5 == F(1, 2) and hash(0.5) == hash(F(1, 2)), and True == 1, so a
+    # lookup by value would read such a cell as the grid cell it equals
+    ds = _dyadic_dataset()
+    assert first_bad_cell(ds) is None
+    real = next(c for c in ds.cells if c.b == 0 and c.t == F(1, 2))
+    for cell in (replace(real, b=0.0), replace(real, t=0.5), replace(real, b=False)):
+        assert (cell.b, cell.t) == (real.b, real.t)
+        bad = replace(ds, cells=ds.cells + (cell,))
+        assert first_bad_cell(bad) == RecheckFailure(cell, None)
+        assert not recheck_walls(bad)
+
+
+def test_recheck_cost_does_not_grow_with_the_grid():
+    # 3 cells of a 10^4 x 10^4 grid: a recheck that builds a value or an
+    # index entry per grid point would take megabytes, not kilobytes
+    ctx = ctx2()
+    req = ScanRequest(ctx, 2, structure_sheaf(ctx), (skyscraper(ctx),),
+                      (F(-2), F(2)), (F(1, 100), F(2)), (10**4, 10**4))
+    full = scan_walls(req)
+    ds = replace(full, cells=full.cells[::len(full.cells) // 3][:3])
+    assert len(ds.cells) == 3
+    tracemalloc.start()
+    try:
+        ok = recheck_walls(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 64 * 2**10
+
+
+@st.composite
+def axis_cases(draw):
+    """(first point, step, count, scale multiplier, value) of one grid axis;
+    the value is a grid point, a point past either end, a point between
+    two, or any rational.  The multiplier stands for the other axis, whose
+    denominators can make the grid's scale a multiple of this axis's."""
+    lo = F(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+    step = F(draw(st.integers(1, 30)), draw(st.integers(1, 12)))
+    count = draw(st.integers(1, 12))
+    i = draw(st.integers(-2, count + 1))
+    off = draw(st.sampled_from([F(0), F(0), F(1, 2), F(1, 3), F(3, 4)]))
+    v = draw(st.one_of(st.just(lo + (i + off) * step),
+                       st.builds(F, st.integers(-400, 400), st.integers(1, 36))))
+    return lo, step, count, draw(st.integers(1, 6)), v
+
+
+@given(axis_cases())
+@example((F(-5, 2), F(1, 3), 7, 1, F(-5, 2)))  # the first point
+@example((F(-5, 2), F(1, 3), 7, 1, F(-1, 2)))  # the last point
+@example((F(-5, 2), F(1, 3), 7, 1, F(-17, 6)))  # one step below the first
+@example((F(-5, 2), F(1, 3), 7, 1, F(-1, 6)))  # one step past the last
+@example((F(0), F(1), 4, 2, F(3, 2)))  # between two points, on the scale
+@example((F(0), F(1), 4, 1, F(5, 2)))  # a denominator that does not divide the scale
+@example((F(-7, 3), F(1, 2), 9, 3, F(-5, 6)))  # a negative start, scale 18
+def test_axis_index_matches_a_plain_lookup(case):
+    lo, step, count, m, v = case
+    scale = lcm(lo.denominator, step.denominator) * m
+    points = [lo + i * step for i in range(count)]
+    want = points.index(v) if v in points else None
+    # through the module, so that a mutant bound there is the one called
+    assert abelfm.scan._axis_index(v, scale, int(lo * scale), int(step * scale), count) == want
 
 
 def _with_a_cell_that_names_no_wall(past_the_end):
