@@ -56,9 +56,10 @@ needs once per call: one probe charge per distinct cell corner, and one
 wall charge per distinct (wall, corner).  That is at most 8 core
 evaluations per cell and at most walls + 1 per grid point; along a wall
 curve, where neighbouring cells share corners, it is about 4 per cell.
-It reads the grid as the scanner does, as integer axes: a cell's b and t
-are mapped to grid indices by integer arithmetic (_axis_index), so its
-cost is O(cells + distinct corners), whatever the size of the grid.
+A WallDataset checks its cells' wall indices and exact coordinates when it
+is built, so the recheck and the emitters read them as given.  The recheck
+maps a cell's b and t to indices on the scanner's integer axes by integer
+arithmetic (_axis_index), so its cost is O(cells + distinct corners).
 Each class's integer numerators (stability._charge_ints) are built once
 per call, and each corner's beta = b + i*t once, as the integer tuple
 (b start + x * b step, 0, t start + y * t step, 0, scale).  Both charges
@@ -145,10 +146,27 @@ class WallCell:
 
 @dataclass(frozen=True)
 class WallDataset:
+    """A scan's cells, ordered by wall index, then b, then t.  It checks its
+    fields when built, so its readers do not: each cell's w_index and each
+    trivial wall is a plain int, not a bool, naming a wall (ValueError), each
+    b and t an int or Fraction (TypeError), and v_degenerate a bool."""
+
     request: ScanRequest
     cells: tuple[WallCell, ...]
     trivial_walls: tuple[int, ...]
     v_degenerate: bool
+
+    def __post_init__(self):
+        walls = range(len(self.request.walls))
+        for cell in self.cells:
+            if type(cell.w_index) is not int or cell.w_index not in walls:
+                raise ValueError(f"cell at b = {cell.b}, t = {cell.t} has wall index "
+                                 f"{cell.w_index!r}, but the request has {len(walls)} walls")
+            as_fraction(cell.b), as_fraction(cell.t)
+        if any(type(wi) is not int or wi not in walls for wi in self.trivial_walls):
+            raise ValueError(f"trivial walls {self.trivial_walls!r} must be ints in {walls}")
+        if type(self.v_degenerate) is not bool:
+            raise TypeError(f"v_degenerate must be a bool, got {self.v_degenerate!r}")
 
 
 def _grid(req: ScanRequest) -> tuple[int, int, int, int, int]:
@@ -168,15 +186,11 @@ def _grid(req: ScanRequest) -> tuple[int, int, int, int, int]:
 
 
 def _axis_index(v, scale: int, start: int, step: int, count: int) -> int | None:
-    """The i in range(count) with v == (start + i * step) / scale, for a
-    step > 0; None when v is no such point or not an int or Fraction.
+    """The i in range(count) with v == (start + i * step) / scale, for an
+    int or Fraction v and a step > 0; None when v is no such point.
 
     v = p/q in lowest terms equals some N/scale exactly when q divides
     scale, and then N = p * (scale // q)."""
-    try:
-        v = as_fraction(v)
-    except TypeError:  # a float or bool is no grid point, even one equal to it
-        return None
     q = v.denominator
     if scale % q:
         return None
@@ -339,9 +353,9 @@ def scan_walls(req: ScanRequest) -> WallDataset:
 @dataclass(frozen=True)
 class RecheckFailure:
     """An emitted cell that failed the recheck, with the signs of W at its
-    corners (b, t), (b', t), (b, t'), (b', t'); corners is None when the
-    cell's lower-left corner is not a grid point with a cell above and to
-    its right, or when its wall index names no wall of the request."""
+    corners (b, t), (b', t), (b, t'), (b', t'); corners is None only when
+    the cell is off the grid: its lower-left corner is not a grid point
+    with a cell above and to its right."""
 
     cell: WallCell
     corners: tuple[int, int, int, int] | None
@@ -375,9 +389,9 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
         # a lower-left corner has a grid point above and to its right
         x = _axis_index(cell.b, scale, bi0, dbi, nb - 1)
         y = _axis_index(cell.t, scale, ti0, dti, nt - 1)
-        wi = cell.w_index
-        if x is None or y is None or not 0 <= wi < len(w_ints):
+        if x is None or y is None:
             return RecheckFailure(cell, None)
+        wi = cell.w_index
         quad = (wall_sign(wi, x, y), wall_sign(wi, x + 1, y),
                 wall_sign(wi, x, y + 1), wall_sign(wi, x + 1, y + 1))
         if not _crosses(quad):
@@ -391,21 +405,18 @@ def recheck_walls(ds: WallDataset) -> bool:
     the integer core of the public charge) and confirm the sign-change
     predicate.  Returns True when every cell passes.
 
-    Each charge is computed once per call: one probe charge per distinct
-    corner plus one wall charge per distinct (wall, corner), at most 8 core
-    evaluations per cell and at most walls + 1 per grid point.  Each cell's
-    corner is found on the integer grid by arithmetic, with no per-point
-    table, so the cost is O(cells + distinct corners) and independent of
-    the resolution.  A cell whose b or t is a float or a bool fails, even
-    where it equals a grid point.  Each class's numerators are built once,
-    each distinct corner builds its beta tuple once, and the sign of W at
-    it is one integer cross-sign of the two charge tuples."""
+    Each charge is computed once per call (the module docstring counts
+    them), and each cell's corner is found on the integer grid by
+    arithmetic, so the cost is O(cells + distinct corners), whatever the
+    resolution.  The dataset checked each cell's wall index and coordinate
+    types when it was built, so a cell fails only off the grid or with four
+    equal corner signs."""
     return _first_bad_cell(ds) is None
 
 
 def first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
-    """The first emitted cell that recheck_walls rejects, None when every
-    cell passes."""
+    """The first emitted cell that recheck_walls rejects, off the grid or
+    with four equal corner signs; None when every cell passes."""
     return _first_bad_cell(ds)
 
 
@@ -505,10 +516,7 @@ def emit_svg(ds: WallDataset) -> str:
             f'font-size="11" text-anchor="end">{lab}</text>'
         )
     by_wall: list[list[WallCell]] = [[] for _ in req.walls]
-    for cell in ds.cells:
-        if not 0 <= cell.w_index < len(by_wall):
-            raise ValueError(f"cell at b = {cell.b}, t = {cell.t} has wall index {cell.w_index}, "
-                             f"but the request has {len(by_wall)} walls")
+    for cell in ds.cells:  # the dataset has checked every wall index
         by_wall[cell.w_index].append(cell)
     for wi, cells in enumerate(by_wall):
         color = _PALETTE[wi % len(_PALETTE)]

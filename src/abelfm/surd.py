@@ -23,8 +23,7 @@ b*sqrt 3 nearly cancel.
 Each binary operator reads its operand through one decorator, _operand: a
 Q3 operator gets the canonical triple of an int, Fraction or Q3, and a
 SurdComplex operator a SurdComplex, a real operand landing on the real axis;
-any other operand gives NotImplemented.  Each operation then has one formula;
-only the Q3 product keeps a second one, for two rationals.
+any other operand gives NotImplemented.  Each operation then has one formula.
 
 The sign of a + b*sqrt 3 for integers a and b is decided in one place,
 _sign3.  A complex value cleared to one denominator D > 0 is the integer
@@ -58,13 +57,8 @@ def as_fraction(x) -> Fraction:
 
 def _parts(x) -> "tuple[int, int, int] | None":
     """The canonical (a, b, d) of an int, Fraction or Q3; None otherwise."""
-    t = type(x)
-    if t is Q3:
+    if type(x) is Q3:
         return x._abd
-    if t is int:
-        return (x, 0, 1)
-    if t is Fraction:
-        return (x.numerator, 0, x.denominator)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return (int(x.numerator), 0, int(x.denominator))
     return None
@@ -187,8 +181,6 @@ class Q3:
     def __mul__(self, o):
         a1, b1, d1 = self._abd
         a2, b2, d2 = o
-        if not (b1 or b2):
-            return Q3._new(a1 * a2, 0, d1 * d2)
         return Q3._new(a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__

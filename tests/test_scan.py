@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -249,16 +250,6 @@ def test_level_one_scans_emit_no_cells(g):
     assert len(ds.trivial_walls) < len(walls)  # some wall is a genuine W != 0
 
 
-@pytest.mark.parametrize("emitter", [emit_csv, emit_json])
-def test_emitters_refuse_a_float_or_bool_coordinate(emitter):
-    # a float would print as its binary expansion, a bool as 1/1
-    ds = _dyadic_dataset()
-    cell = ds.cells[0]
-    for bad in (replace(cell, b=-2 / 199), replace(cell, t=True)):
-        with pytest.raises(TypeError):
-            emitter(replace(ds, cells=(bad,)))
-
-
 def test_cell_order_is_wall_then_b_then_t():
     ctx = ctx2()
     ds = scan_walls(small_request([line_bundle(ctx, F(1)), skyscraper(ctx)], res=(17, 17)))
@@ -293,25 +284,66 @@ def test_recheck_passes_and_catches_corruption():
 
 
 def _dyadic_dataset():
-    """A level-2 scan whose grid steps, 1/4 in b and 1/8 in t, are dyadic,
-    so a float can equal a grid point exactly."""
+    """A level-2 scan of two walls, the last of them b = 0, whose grid
+    steps, 1/4 in b and 1/8 in t, are dyadic, so a float can equal a grid
+    point exactly; and its last wall's cell at b = 0, t = 1/2."""
     ctx = ctx2()
-    req = ScanRequest(ctx, 2, structure_sheaf(ctx), (skyscraper(ctx),),
+    req = ScanRequest(ctx, 2, structure_sheaf(ctx), (line_bundle(ctx, F(1)), skyscraper(ctx)),
                       (F(-2), F(2)), (F(1, 4), F(2)), (17, 15))
-    return scan_walls(req)
+    ds = scan_walls(req)
+    return ds, next(c for c in ds.cells if (c.w_index, c.b, c.t) == (1, 0, F(1, 2)))
 
 
-def test_recheck_rejects_a_float_or_bool_coordinate():
-    # 0.5 == F(1, 2) and hash(0.5) == hash(F(1, 2)), and True == 1, so a
-    # lookup by value would read such a cell as the grid cell it equals
-    ds = _dyadic_dataset()
-    assert first_bad_cell(ds) is None
-    real = next(c for c in ds.cells if c.b == 0 and c.t == F(1, 2))
-    for cell in (replace(real, b=0.0), replace(real, t=0.5), replace(real, b=False)):
-        assert (cell.b, cell.t) == (real.b, real.t)
-        bad = replace(ds, cells=ds.cells + (cell,))
-        assert first_bad_cell(bad) == RecheckFailure(cell, None)
-        assert not recheck_walls(bad)
+def test_a_dataset_takes_an_int_coordinate():
+    ds, real = _dyadic_dataset()
+    ok = replace(ds, cells=ds.cells + (replace(real, b=0),))
+    assert first_bad_cell(ok) is None and emit_csv(ok).endswith("\n1,0/1,1/2\n")
+
+
+_BAD_FIELDS = [
+    # -1 must not name the last wall through Python's negative index, and
+    # len(walls) must not raise IndexError in a reader
+    ("w_index", -1, ValueError, "has wall index -1, but the request has 2 walls"),
+    ("w_index", 2, ValueError, "has wall index 2, but the request has 2 walls"),
+    # False == 0 and True == 1 name walls by value, and JSON cannot read them
+    ("w_index", False, ValueError, "has wall index False, but the request has 2 walls"),
+    ("w_index", True, ValueError, "has wall index True, but the request has 2 walls"),
+    # 0.0 == 0 and 0.5 == F(1, 2), with equal hashes, and True == 1: a
+    # lookup by value would read each as the grid point it equals, and an
+    # emitter would print a float's binary expansion or a bool as 1/1
+    ("b", 0.0, TypeError, "got 0.0"),
+    ("t", 0.5, TypeError, "got 0.5"),
+    ("b", False, TypeError, "got False"),
+    ("t", True, TypeError, "got True"),
+    ("b", -2 / 199, TypeError, "got -0.01005"),
+    ("trivial_walls", (True,), ValueError, "trivial walls (True,) must be ints in range(0, 2)"),
+    ("trivial_walls", (-1,), ValueError, "trivial walls (-1,)"),
+    ("trivial_walls", (0, 2), ValueError, "trivial walls (0, 2)"),
+    ("trivial_walls", (0.0,), ValueError, "trivial walls (0.0,)"),
+    ("v_degenerate", 1, TypeError, "v_degenerate must be a bool, got 1"),
+    ("v_degenerate", None, TypeError, "v_degenerate must be a bool, got None"),
+]
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("field,value,error,text", _BAD_FIELDS,
+                         ids=[f"{field}={value!r}" for field, value, *_ in _BAD_FIELDS])
+def test_a_dataset_refuses_a_bad_field_when_built(build, field, value, error, text):
+    ds, real = _dyadic_dataset()
+    if field in ("w_index", "b", "t"):
+        cell = replace(real, **{field: value})
+        changes = {"cells": ds.cells + (cell,)}
+        if field == "w_index":
+            text = f"cell at b = 0, t = 1/2 {text}"
+        else:  # every coordinate but -2/199 equals a grid point
+            assert (value in _grid_axes(ds.request)[field == "t"]) == (value != -2 / 199)
+    else:
+        changes = {field: value}
+    with pytest.raises(error, match=re.escape(text)):
+        if build == "replace":
+            replace(ds, **changes)
+        else:
+            WallDataset(**{**vars(ds), **changes})
 
 
 def test_recheck_cost_does_not_grow_with_the_grid():
@@ -364,24 +396,6 @@ def test_axis_index_matches_a_plain_lookup(case):
     want = points.index(v) if v in points else None
     # through the module, so that a mutant bound there is the one called
     assert abelfm.scan._axis_index(v, scale, int(lo * scale), int(step * scale), count) == want
-
-
-def _with_a_cell_that_names_no_wall(past_the_end):
-    """The shipped example plus a copy of a real cell of its last wall,
-    under the index len(walls) or -1, which names no wall."""
-    ds = _example_dataset()
-    nw = len(ds.request.walls)
-    real = next(c for c in reversed(ds.cells) if c.w_index == nw - 1)
-    cell = replace(real, w_index=nw if past_the_end else -1)
-    return cell, replace(ds, cells=ds.cells + (cell,))
-
-
-@pytest.mark.parametrize("past_the_end", [False, True])
-def test_recheck_rejects_a_cell_that_names_no_wall(past_the_end):
-    # -1 must not read the last wall through Python's negative index
-    cell, bad = _with_a_cell_that_names_no_wall(past_the_end)
-    assert first_bad_cell(bad) == RecheckFailure(cell, None)
-    assert not recheck_walls(bad)
 
 
 def _example_dataset():
@@ -744,18 +758,6 @@ def test_svg_structure():
     assert 'data-wall="0"' in svg and 'data-wall="1"' in svg
     assert "#1f77b4" in svg and "#d62728" in svg
     assert ">b</text>" in svg and ">t</text>" in svg
-
-
-@pytest.mark.parametrize("past_the_end", [False, True])
-def test_svg_rejects_a_cell_that_names_no_wall(tmp_path, past_the_end):
-    # -1 must not draw the cell in the last wall's group, and len(walls)
-    # must not raise IndexError
-    cell, bad = _with_a_cell_that_names_no_wall(past_the_end)
-    out = tmp_path / "w.svg"
-    for draw in (emit_svg, lambda d: render(d, "svg"), lambda d: emit(d, "svg", out)):
-        with pytest.raises(ValueError, match=f"t = {cell.t} has wall index {cell.w_index},"):
-            draw(bad)
-    assert not out.exists()
 
 
 def test_emission_deterministic_and_file_roundtrip(tmp_path):
