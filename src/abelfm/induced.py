@@ -35,6 +35,12 @@ from .surd import PolarScalar, SurdComplex, as_fraction
 from .transform import FMTransformSpec, apply
 
 
+def _require_upper_half_plane(u: PolarScalar) -> None:
+    """Reject u unless its angle lies strictly between 0 and pi."""
+    if not 0 < u.angle < 1:
+        raise ValueError(f"u must lie in the open upper half-plane, got angle {u.angle}*pi")
+
+
 @dataclass(frozen=True)
 class ComplexAmpleClass:
     """The complexified polarization (base + u) * l: an exact rational base
@@ -46,8 +52,7 @@ class ComplexAmpleClass:
 
     def __post_init__(self):
         object.__setattr__(self, "base", as_fraction(self.base))
-        if not 0 < self.u.angle < 1:
-            raise ValueError(f"u must lie in the open upper half-plane, got angle {self.u.angle}*pi")
+        _require_upper_half_plane(self.u)
 
     def as_surd(self) -> SurdComplex | None:
         """Rectangular form over Q(sqrt 3), or None when the angle of u lies
@@ -77,13 +82,16 @@ class InducedChargeLaw:
 
 
 def zeta(spec: FMTransformSpec, u: PolarScalar) -> PolarScalar:
-    """The exact polar factor r * n_X * u^g / g!."""
+    """The exact polar factor r * n_X * u^g / g!, built on integers: with
+    n_X = a/b and |u| = p/q its modulus is the one Fraction
+    r * a * p^g / (b * q^g * g!), and its angle is g times the angle of u,
+    which PolarScalar normalizes into (-1, 1]."""
     g = spec.g
-    ug = u.power(g)
-    return PolarScalar(
-        Fraction(spec.r) * spec.src.n * ug.modulus / factorial(g),
-        ug.angle,
+    n, m = spec.src.n, u.modulus
+    modulus = Fraction(
+        spec.r * n.numerator * m.numerator**g, n.denominator * m.denominator**g * factorial(g)
     )
+    return PolarScalar(modulus, u.angle * g)
 
 
 def induced_law(spec: FMTransformSpec, u: PolarScalar) -> InducedChargeLaw:
@@ -133,15 +141,15 @@ def _law_ints(spec: FMTransformSpec, e: CohClass) -> tuple[list[int], int, list[
     source side is minus the plain integral of e twisted by -d_x.  With q
     the plain integral of the image twisted by d_y, the target side is
     zeta(u) * -q(-1/u) = -c * sum_j q_j (-1)^j u^(g-j), where
-    zeta(u) = c * u^g."""
+    zeta(u) = c * u^g and c = r * n_X / g! = cn / cd on integers."""
     g = spec.g
     ln, ld = _charge_ints(spec.src, twist(e, -spec.d_x), g)
     qn, qd = _charge_ints(spec.dst, twist(apply(spec, e), spec.d_y), g)
-    c = spec.r * spec.src.n / factorial(g)
-    cn = c.numerator
+    n = spec.src.n
+    cn, cd = spec.r * n.numerator, n.denominator * factorial(g)
     # coefficient i of the target side is c * (-1)^(j+1) * q_j with j = g - i
     rn = [cn * qn[g - i] if (g - i) & 1 else -cn * qn[g - i] for i in range(g + 1)]
-    return [-x for x in ln], ld, rn, qd * c.denominator
+    return [-x for x in ln], ld, rn, qd * cd
 
 
 def _sides_equal(ln: Sequence[int], ld: int, rn: Sequence[int], rd: int) -> bool:
@@ -182,7 +190,7 @@ def verify_induced_law(
 ) -> list[LawVerdict]:
     """Check, class by class, that the source charge at -d_x + u equals zeta
     times the target charge of the image at d_y - 1/u, as polynomials in u."""
-    induced_law(spec, u)  # rejects u outside the open upper half-plane
+    _require_upper_half_plane(u)
     rect = u.to_exact()
     out = []
     for idx, e in enumerate(basis):
@@ -272,9 +280,9 @@ def phase_shift_check(spec: FMTransformSpec, u: PolarScalar, e: CohClass) -> Pha
     nonvanishing source charge.  It holds when the transport identity holds
     as polynomials in u: then Z_source = zeta * Z_target at u, and both are
     nonzero."""
-    law = induced_law(spec, u)
+    _require_upper_half_plane(u)
     ln, ld, rn, rd = _law_ints(spec, e)
     if _vanishes_at(ln, u):
         raise ValueError("phase shift undefined: source charge vanishes")
     expected = int(round(u.angle * spec.g))  # arg(zeta)/pi before normalization
-    return PhaseShiftVerdict(_sides_equal(ln, ld, rn, rd), expected, law.zeta)
+    return PhaseShiftVerdict(_sides_equal(ln, ld, rn, rd), expected, zeta(spec, u))

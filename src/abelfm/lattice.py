@@ -305,12 +305,11 @@ def mukai_pairing(a: CohClass, b: CohClass) -> Fraction:
 
 def v_vector(a: CohClass, b) -> VVector:
     """Coordinates v_i = i! * n * c_i^B of a after twisting by B = b*l."""
-    tw = twist(a, b)
     n = a.ctx.n
     return VVector(
         a.ctx,
         as_fraction(b),
-        tuple(factorial(i) * n * tw.c[i] for i in range(a.ctx.g + 1)),
+        tuple(factorial(i) * n * c for i, c in enumerate(twist(a, b).c)),
     )
 
 
@@ -348,10 +347,10 @@ def semihomogeneous(ctx: AbelianContext, r: int, d) -> CohClass:
 
 
 def divided_power_basis(ctx: AbelianContext) -> list[CohClass]:
-    """The classes l^i / i!, i = 0..g; a convenient exact basis."""
-    out = []
-    for i in range(ctx.g + 1):
-        c = [Fraction(0)] * (ctx.g + 1)
-        c[i] = Fraction(1, factorial(i))
-        out.append(CohClass(ctx, tuple(c)))
-    return out
+    """The classes l^i / i!, i = 0..g; a convenient exact basis.  Each is
+    built on integers as the i-th unit numerator vector over the denominator
+    i!, which is already its canonical form."""
+    g = ctx.g
+    return [
+        CohClass._new(ctx, (0,) * i + (1,) + (0,) * (g - i), factorial(i)) for i in range(g + 1)
+    ]

@@ -350,11 +350,11 @@ def bg_check(ctx: AbelianContext, b, t, e: CohClass) -> BGVerdict:
     _require_match(e.ctx, ctx, "bg_check")
     spec = ChargeSpec(ctx, 2, b, t)  # validates b and t
     b, t = spec.b, spec.t
-    tw = twist(e, b)
+    c = twist(e, b).c
     z2 = charge(spec, e)
     precondition = z2.re.sign() == 0 and not z2.is_zero
-    lhs = Q3(tw.c[3] * ctx.n)
-    rhs = (t * t) * Fraction(tw.c[1] * ctx.n, 18)
+    lhs = Q3(c[3] * ctx.n)
+    rhs = (t * t) * Fraction(c[1] * ctx.n, 18)
     return BGVerdict(
         precondition_zero_slope=precondition,
         inequality_holds=(rhs - lhs).sign() >= 0,

@@ -6,7 +6,9 @@ A transform is described by the two contexts, the kernel rank r, and the
 fiberwise slopes d_X, d_Y of the kernel restricted to the two factor
 directions.  Such a kernel exists only when the polarizations satisfy the
 degree reciprocity (n_X / g!) * (n_Y / g!) = 1 / r^2, and the constructor
-enforces that identity exactly.
+enforces that identity exactly, by integer cross-multiplication: with
+n_X = a/b and n_Y = c/d it holds exactly when a * c * r^2 = b * d * (g!)^2.
+The two sides are built as Fractions only to word a rejection.
 
 On the rank-one lattice the action is an antidiagonal matrix in the
 factorial-rescaled coordinates taken with twist -d_X on the source, followed
@@ -66,9 +68,9 @@ class FMTransformSpec:
             )
         object.__setattr__(self, "d_x", as_fraction(self.d_x))
         object.__setattr__(self, "d_y", as_fraction(self.d_y))
-        g = self.src.g
-        lhs = (self.src.n / factorial(g)) * (self.dst.n / factorial(g))
-        if lhs != Fraction(1, self.r**2):
+        nx, ny, fg = self.src.n, self.dst.n, factorial(self.src.g)
+        if nx.numerator * ny.numerator * self.r**2 != nx.denominator * ny.denominator * fg * fg:
+            lhs = (nx / fg) * (ny / fg)
             raise InvalidSpecError(
                 "degree reciprocity violated: (n_X/g!)(n_Y/g!) = "
                 f"{lhs} but 1/r^2 = {Fraction(1, self.r ** 2)}"

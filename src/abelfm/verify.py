@@ -565,8 +565,9 @@ def _plain_truncated_integral(ctx, b, t, e, k) -> SurdComplex:
     for j in range(1, ctx.g + 1):
         series.append(series[-1] * -beta * Fraction(1, j))
     top = SurdComplex()
+    c = e.c
     for i in range(k + 1):
-        top = top + series[ctx.g - i] * e.c[i]
+        top = top + series[ctx.g - i] * c[i]
     return ctx.n * top
 
 

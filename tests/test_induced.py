@@ -212,6 +212,27 @@ def test_zeta_reality_against_angle_grid():
             assert zeta(spec, u).is_real == want
 
 
+def _rejection(call):
+    """The message of the ValueError that call raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_verify_induced_law_rejects_u_off_the_upper_half_plane():
+    # the angle test alone rejects u, with ComplexAmpleClass's message
+    spec = poincare2()
+    basis = divided_power_basis(spec.src)
+    for angle, shown in ((F(0), "0"), (F(1), "1"), (F(-1, 2), "-1/2")):
+        u = PolarScalar(F(2), angle)
+        want = f"u must lie in the open upper half-plane, got angle {shown}*pi"
+        assert _rejection(lambda: verify_induced_law(spec, u, basis)) == want
+        assert _rejection(lambda: ComplexAmpleClass(spec.src, F(0), u)) == want
+        assert _rejection(lambda: induced_law(spec, u)) == want
+
+
 # ---- oracles for the polynomial law path --------------------------------
 
 
@@ -223,6 +244,30 @@ def _spec(g, r, n_x, d_x, d_y):
         d_x=d_x,
         d_y=d_y,
     )
+
+
+def _zeta_via_power(spec, u):
+    # the formula zeta had before it was built on integers
+    ug = u.power(spec.g)
+    return PolarScalar(F(spec.r) * spec.src.n * ug.modulus / factorial(spec.g), ug.angle)
+
+
+def test_zeta_matches_the_power_formula_on_a_grid():
+    moduli = (F(3, 2), F(7, 5), F(4, 9))
+    angles = (F(-5, 6), F(-1, 3), F(-1, 8), F(1, 4), F(2, 3), F(5, 7), F(1))
+    wrapped = negative = 0
+    for g in range(1, 9):
+        for r in range(1, 5):
+            spec = _spec(g, r, F(5, 3), F(0), F(0))
+            for m in moduli:
+                for angle in angles:
+                    u = PolarScalar(m, angle)
+                    # through the module, so that a monkeypatched zeta is the one tested
+                    assert induced.zeta(spec, u) == _zeta_via_power(spec, u)
+                    wrapped += not -1 < angle * g <= 1
+                    negative += angle * g < 0
+    # the grid exercises the normalization of g * angle on both sides
+    assert wrapped and negative
 
 
 def _eval(coeffs, x):

@@ -8,6 +8,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abelfm import lattice
 from abelfm.lattice import (
     AbelianContext,
     CohClass,
@@ -176,6 +177,16 @@ def test_divided_power_basis():
     for i, e in enumerate(basis):
         acc = acc + e.scale(d**i)
     assert acc == line_bundle(ctx, d)
+
+
+def test_divided_power_basis_matches_fraction_built_classes():
+    # called through the module, so that a monkeypatched basis is the one tested
+    for g in range(1, 13):
+        ctx = AbelianContext(g, F(7, 3))
+        for i, e in enumerate(lattice.divided_power_basis(ctx)):
+            want = CohClass(ctx, tuple(F(1, factorial(i)) if j == i else F(0) for j in range(g + 1)))
+            assert e == want
+            assert (e._nums, e._den) == (want._nums, want._den)
 
 
 def test_class_operators():

@@ -11,18 +11,22 @@ by ``.hypothesis.inner_test``, so that no kill rests on a random draw."""
 import importlib
 import inspect
 import pkgutil
+import tempfile
 import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import abelfm
+import abelfm.cli
 import abelfm.induced
 import abelfm.lattice
 import abelfm.scan
 import abelfm.stability
 import abelfm.surd
 import abelfm.transform
+import test_cli
 import test_induced
 import test_lattice
 import test_scan
@@ -60,6 +64,11 @@ def _axis_example(case):
 def _cyclotomic_example(**case):
     test = test_induced.test_cyclotomic_zero_test_matches_exact_evaluation
     return lambda: test.hypothesis.inner_test(**case)
+
+
+def _params_golden():
+    with tempfile.TemporaryDirectory() as tmp:
+        test_cli.test_params_matches_golden(Path(tmp))
 
 
 # (fault, defining module, function, snippet, replacement,
@@ -189,6 +198,25 @@ MUTANTS = [
         "law-ints-without-the-source-sign",
         abelfm.induced, "_law_ints", "[-x for x in ln]", "ln",
         {abelfm.induced: lambda: test_induced.test_law_sides_match_pointwise_charges(2)},
+    ),
+    (
+        "zeta-without-the-power-on-the-modulus-denominator",
+        abelfm.induced, "zeta", "m.denominator**g", "m.denominator",
+        {abelfm.induced: test_induced.test_zeta_matches_the_power_formula_on_a_grid},
+    ),
+    (
+        "upper-half-plane-admits-angle-zero",
+        abelfm.induced, "_require_upper_half_plane", "0 < u.angle", "0 <= u.angle",
+        {abelfm.induced: test_induced.test_verify_induced_law_rejects_u_off_the_upper_half_plane},
+    ),
+    (
+        "divided-power-basis-without-the-factorial",
+        abelfm.lattice, "divided_power_basis", "factorial(i)) for", "1) for",
+        {
+            abelfm.lattice: test_lattice.test_divided_power_basis_matches_fraction_built_classes,
+            # params shows each basis class's two sides, so l^2 for l^2/2 shows
+            abelfm.cli: _params_golden,
+        },
     ),
     (
         "vanishes-at-reads-the-quotient",

@@ -96,6 +96,40 @@ def test_reciprocity_accepts_nontrivial_rank():
     assert spec.r == 3
 
 
+def _accepts(g, n_x, n_y, r):
+    try:
+        FMTransformSpec(src=AbelianContext(g, n_x, "X"), dst=AbelianContext(g, n_y, "Y"), r=r)
+    except InvalidSpecError:
+        return False
+    return True
+
+
+def test_integer_reciprocity_matches_the_fraction_formula():
+    verdicts = []
+    for g in range(1, 7):
+        fg = factorial(g)
+        for r in range(1, 7):
+            for n_x in (F(1, 2), F(5, 3), F(7, 4), F(2, 9), F(11, 6)):
+                partner = F(fg) ** 2 / (r * r * n_x)
+                for n_y in (partner, partner * F(3, 2), partner * F(4, 5), F(5, 2), F(9, 7)):
+                    if n_y.denominator == 1:
+                        continue
+                    want = (n_x / fg) * (n_y / fg) == F(1, r * r)
+                    assert _accepts(g, n_x, n_y, r) == want
+                    verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("g,n_x,n_y,r,shown", [
+    (2, F(2), F(3), 1, "3/2 but 1/r^2 = 1"),
+    (3, F(3, 2), F(5, 4), 2, "5/96 but 1/r^2 = 1/4"),
+])
+def test_reciprocity_rejection_text(g, n_x, n_y, r, shown):
+    with pytest.raises(InvalidSpecError) as info:
+        FMTransformSpec(src=AbelianContext(g, n_x, "X"), dst=AbelianContext(g, n_y, "Y"), r=r)
+    assert str(info.value) == f"degree reciprocity violated: (n_X/g!)(n_Y/g!) = {shown}"
+
+
 def test_antidiag_matrix_entries():
     spec = poincare(2)
     m = antidiag_matrix(spec)
