@@ -73,10 +73,12 @@ _PUBLIC = {
         "InducedChargeLaw",
         "LawVerdict",
         "PhaseShiftVerdict",
+        "TransportLaw",
         "conjecture_params",
         "induced_law",
         "phase_shift_check",
         "real_zeta_angles",
+        "transport_law",
         "verify_induced_law",
         "zeta",
     ),

@@ -15,9 +15,11 @@ twist ch^B = e^{-B}*ch: the charge of a class at h + u is the charge of its
 twist by h at u.  So the source side is the charge polynomial of the class
 twisted by -d_x, and the target side that of its image twisted by d_y.
 Each is a list of integer numerators over one denominator, and the two
-sides are compared by cross-multiplying.  Values at u are shown over
-Q(sqrt 3) when its angle lies in the pi/6 family (every k*pi/g with g in
-{1, 2, 3, 6}), and as coefficient lists in u otherwise.
+sides are compared by cross-multiplying.  The identity does not depend on
+u, so transport_law decides it once per transform and class; a verdict at
+u only picks the values shown.  They are shown over Q(sqrt 3) when the
+angle of u lies in the pi/6 family (every k*pi/g with g in {1, 2, 3, 6}),
+and as coefficient lists in u otherwise.
 """
 
 from __future__ import annotations
@@ -152,11 +154,6 @@ def _law_ints(spec: FMTransformSpec, e: CohClass) -> tuple[list[int], int, list[
     return [-x for x in ln], ld, rn, qd * cd
 
 
-def _sides_equal(ln: Sequence[int], ld: int, rn: Sequence[int], rd: int) -> bool:
-    """Whether ln[i]/ld == rn[i]/rd for every i (denominators positive)."""
-    return all(x * rd == y * ld for x, y in zip(ln, rn))
-
-
 @dataclass(frozen=True)
 class LawVerdict:
     """One checked instance of the charge transport identity.  lhs and rhs
@@ -185,22 +182,57 @@ class LawVerdict:
         }
 
 
+def _shown(nums: Sequence[int], den: int, rect: SurdComplex | None):
+    """One side at u: sum_i nums[i]/den * u^i over Q(sqrt 3) when u has the
+    rectangular form rect, else its coefficient list in u."""
+    if rect is None:
+        return tuple(Fraction(x, den) for x in nums)
+    return _horner_ints(nums, den, rect, 0)
+
+
+@dataclass(frozen=True)
+class TransportLaw:
+    """Both sides of the transport identity for one transform and one
+    class, as _law_ints builds them: integer numerators in u (constant term
+    first) over one positive denominator each.  The identity is u-free, so
+    equal is decided once, by cross-multiplying the coefficients; verdict(u)
+    only picks the values shown at u."""
+
+    lhs_nums: tuple[int, ...]
+    lhs_den: int
+    rhs_nums: tuple[int, ...]
+    rhs_den: int
+    equal: bool
+
+    def verdict(self, u: PolarScalar, label: str) -> LawVerdict:
+        """The LawVerdict at u, which must lie in the open upper half-plane:
+        both sides at u over Q(sqrt 3), or their coefficient lists in u when
+        the angle of u lies outside the pi/6 family."""
+        _require_upper_half_plane(u)
+        rect = u.to_exact()
+        return LawVerdict(
+            label,
+            _shown(self.lhs_nums, self.lhs_den, rect),
+            _shown(self.rhs_nums, self.rhs_den, rect),
+            self.equal,
+        )
+
+
+def transport_law(spec: FMTransformSpec, e: CohClass) -> TransportLaw:
+    """The transport identity of e under spec, decided once for every u."""
+    ln, ld, rn, rd = _law_ints(spec, e)
+    return TransportLaw(tuple(ln), ld, tuple(rn), rd, all(x * rd == y * ld for x, y in zip(ln, rn)))
+
+
 def verify_induced_law(
     spec: FMTransformSpec, u: PolarScalar, basis: Sequence[CohClass]
 ) -> list[LawVerdict]:
     """Check, class by class, that the source charge at -d_x + u equals zeta
-    times the target charge of the image at d_y - 1/u, as polynomials in u."""
+    times the target charge of the image at d_y - 1/u, as polynomials in u.
+    Each class's identity is decided once by its transport_law; u only
+    picks the values that each verdict shows."""
     _require_upper_half_plane(u)
-    rect = u.to_exact()
-    out = []
-    for idx, e in enumerate(basis):
-        ln, ld, rn, rd = _law_ints(spec, e)
-        if rect is None:
-            shown = tuple(Fraction(x, ld) for x in ln), tuple(Fraction(y, rd) for y in rn)
-        else:
-            shown = _horner_ints(ln, ld, rect, 0), _horner_ints(rn, rd, rect, 0)
-        out.append(LawVerdict(f"e{idx}", *shown, _sides_equal(ln, ld, rn, rd)))
-    return out
+    return [transport_law(spec, e).verdict(u, f"e{idx}") for idx, e in enumerate(basis)]
 
 
 def _show(v) -> str:
@@ -281,8 +313,8 @@ def phase_shift_check(spec: FMTransformSpec, u: PolarScalar, e: CohClass) -> Pha
     as polynomials in u: then Z_source = zeta * Z_target at u, and both are
     nonzero."""
     _require_upper_half_plane(u)
-    ln, ld, rn, rd = _law_ints(spec, e)
-    if _vanishes_at(ln, u):
+    law = transport_law(spec, e)
+    if _vanishes_at(law.lhs_nums, u):
         raise ValueError("phase shift undefined: source charge vanishes")
     expected = int(round(u.angle * spec.g))  # arg(zeta)/pi before normalization
-    return PhaseShiftVerdict(_sides_equal(ln, ld, rn, rd), expected, zeta(spec, u))
+    return PhaseShiftVerdict(law.equal, expected, zeta(spec, u))

@@ -257,7 +257,11 @@ def _exp_ints(d: Fraction, g: int) -> tuple[list[int], int]:
 
 def _conv(a: list[int], b: list[int]) -> list[int]:
     """Product of two numerator lists of equal length g + 1, truncated above
-    degree g."""
+    degree g.  The outer loop runs over the operand with more zeros, each
+    of which skips a whole row: a unit vector such as a divided-power basis
+    class, or the exponential e^{0*l}, costs O(g) products, not O(g^2)."""
+    if a.count(0) < b.count(0):
+        a, b = b, a
     g = len(a) - 1
     out = [0] * (g + 1)
     for i, ai in enumerate(a):

@@ -36,6 +36,7 @@ PUBLIC = [
     "ScanRequest",
     "ShiftedClass",
     "SurdComplex",
+    "TransportLaw",
     "VVector",
     "WallCell",
     "WallDataset",
@@ -74,6 +75,7 @@ PUBLIC = [
     "slope",
     "slope_cmp",
     "structure_sheaf",
+    "transport_law",
     "twist",
     "v_vector",
     "verify_induced_law",

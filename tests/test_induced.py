@@ -14,6 +14,7 @@ from abelfm.induced import (
     induced_law,
     phase_shift_check,
     real_zeta_angles,
+    transport_law,
     verify_induced_law,
     zeta,
 )
@@ -231,6 +232,7 @@ def test_verify_induced_law_rejects_u_off_the_upper_half_plane():
         assert _rejection(lambda: verify_induced_law(spec, u, basis)) == want
         assert _rejection(lambda: ComplexAmpleClass(spec.src, F(0), u)) == want
         assert _rejection(lambda: induced_law(spec, u)) == want
+        assert _rejection(lambda: transport_law(spec, basis[0]).verdict(u, "e0")) == want
 
 
 # ---- oracles for the polynomial law path --------------------------------
@@ -331,6 +333,34 @@ def test_perturbed_image_breaks_the_law(monkeypatch, angle):
     assert verdicts and not any(v.equal for v in verdicts)
     verdict = phase_shift_check(spec, u, skyscraper(spec.src))
     assert not verdict.holds and verdict.exact
+
+
+def _law_classes(spec):
+    return [*divided_power_basis(spec.src), CohClass(spec.src, (F(2), F(-1), F(1, 3), F(5)))]
+
+
+@pytest.mark.parametrize("angle", [F(1, 6), F(1, 3), F(1, 2), F(1, 4), F(2, 5)])
+def test_transport_law_verdict_matches_verify_induced_law(angle):
+    # inside the pi/6 family the values are shown over Q(sqrt3), outside it
+    # as coefficient lists in u
+    spec = spec3()
+    u = PolarScalar(F(7, 3), angle)
+    for e in _law_classes(spec):
+        want = verify_induced_law(spec, u, [e])[0].to_record()
+        assert transport_law(spec, e).verdict(u, "e0").to_record() == want
+
+
+def test_transport_law_equal_is_the_same_at_every_u(monkeypatch):
+    spec = spec3()
+    us = [PolarScalar(lam, angle) for lam in (H, F(1), F(7, 3))
+          for angle in (F(1, 6), F(1, 3), F(1, 4), F(2, 5), F(5, 6))]
+    real_apply = induced.apply
+    for apply_fn, want in ((real_apply, True), (lambda s, e: real_apply(s, e).scale(2), False)):
+        monkeypatch.setattr(induced, "apply", apply_fn)
+        for e in _law_classes(spec):
+            law = transport_law(spec, e)
+            assert law.equal is want
+            assert {law.verdict(u, "e").equal for u in us} == {want}
 
 
 # cyclotomic polynomials Phi_N for N | 12, constant term first

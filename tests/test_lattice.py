@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abelfm import lattice
 from abelfm.lattice import (
@@ -257,11 +257,20 @@ def _schoolbook(xs, ys):
 
 @settings(max_examples=200, deadline=None)
 @given(_coeff_pairs(), wide_rat)
+# _conv loops over the operand with more zeros: a unit vector on either side
+@example(([F(1), F(2), F(3)], [F(0), F(1), F(0)]), F(0))
+@example(([F(0), F(0), F(0), F(1, 6)], [F(2), F(-1), F(1, 3), F(5)]), F(7, 2))
+# e^{0*l} on either side (b = 0 twists by it), and the zero class
+@example(([F(1), F(0), F(0), F(0)], [F(-3), F(1, 2), F(0), F(4)]), F(0))
+@example(([F(0), F(0), F(0)], [F(1, 2), F(-2), F(3)]), F(-5, 3))
+# two sparse operands with their zeros in different places
+@example(([F(0), F(3), F(0), F(0), F(-1)], [F(5, 4), F(0), F(0), F(2), F(0)]), F(1, 2))
 def test_integer_kernel_matches_schoolbook_convolution(pair, b):
     xs, ys = pair
     g = len(xs) - 1
     ctx = AbelianContext(g, F(3, 2))
     a, c = CohClass(ctx, tuple(xs)), CohClass(ctx, tuple(ys))
+    assert lattice._conv(a._nums, c._nums) == lattice._conv(c._nums, a._nums)
     prod = mul(a, c)
     assert prod.c == _schoolbook(xs, ys)
     assert all(type(x) is F for x in prod.c)

@@ -26,6 +26,7 @@ import abelfm.scan
 import abelfm.stability
 import abelfm.surd
 import abelfm.transform
+import abelfm.verify
 import test_cli
 import test_induced
 import test_lattice
@@ -33,16 +34,28 @@ import test_scan
 import test_stability
 import test_surd
 import test_transform
+import test_verify
+
+
+def _owner(target, name):
+    """(object that holds the attribute, attribute) for a plain or a dotted
+    name: "Class.method" is held by the class."""
+    *path, attr = name.split(".")
+    for part in path:
+        target = getattr(target, part)
+    return target, attr
 
 
 def _mutant(module, name, old, new):
-    """module.name with the one occurrence of old in its source replaced by
-    new; its globals are a copy of the module's."""
-    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    """module.name (a function, or "Class.method") with the one occurrence
+    of old in its source replaced by new; its globals are a copy of the
+    module's."""
+    owner, attr = _owner(module, name)
+    src = textwrap.dedent(inspect.getsource(getattr(owner, attr)))
     assert src.count(old) == 1, f"{name}: {old!r} does not occur once in its source"
     namespace = dict(vars(module))
     exec(compile(src.replace(old, new), inspect.getsourcefile(module), "exec"), namespace)
-    return namespace[name]
+    return namespace[attr]
 
 
 def _linear_example(case):
@@ -66,6 +79,11 @@ def _cyclotomic_example(**case):
     return lambda: test.hypothesis.inner_test(**case)
 
 
+def _conv_example(xs, ys):
+    test = test_lattice.test_integer_kernel_matches_schoolbook_convolution
+    return lambda: test.hypothesis.inner_test((xs, ys), F(0))
+
+
 def _params_golden():
     with tempfile.TemporaryDirectory() as tmp:
         test_cli.test_params_matches_golden(Path(tmp))
@@ -73,7 +91,9 @@ def _params_golden():
 
 # (fault, defining module, function, snippet, replacement,
 #  {module that binds the function: its killing test, or None where the
-#   fault cannot change what that module computes})
+#   fault cannot change what that module computes}).  A method is patched
+# once, on its class, which every module reaches; its row names a killing
+# test in each module that calls it.
 MUTANTS = [
     (
         "column-parts-sign-at-j-3-mod-4",
@@ -195,9 +215,28 @@ MUTANTS = [
         },
     ),
     (
+        # the swap only picks the outer operand, so flipping its comparison
+        # changes no value: that mutant is equivalent and has no row
+        "conv-squares-the-denser-operand",
+        abelfm.lattice, "_conv", "a, b = b, a", "a = b",
+        {
+            # l^0 + 2l + 3l^2 times l: the denser operand comes first
+            abelfm.lattice: _conv_example([F(1), F(2), F(3)], [F(0), F(1), F(0)]),
+            abelfm.transform: test_transform.test_line_bundle_image_degenerates_to_point_direction,
+        },
+    ),
+    (
         "law-ints-without-the-source-sign",
         abelfm.induced, "_law_ints", "[-x for x in ln]", "ln",
         {abelfm.induced: lambda: test_induced.test_law_sides_match_pointwise_charges(2)},
+    ),
+    (
+        "transport-verdict-shows-the-rhs-from-the-lhs-numerators",
+        abelfm.induced, "TransportLaw.verdict", "_shown(self.rhs_nums,", "_shown(self.lhs_nums,",
+        {
+            abelfm.induced: test_induced.test_law_verdicts_show_both_sides_at_u,
+            abelfm.verify: test_verify.test_law_suite_passes,
+        },
     ),
     (
         "zeta-without-the-power-on-the-modulus-denominator",
@@ -243,7 +282,8 @@ CASES = [
 
 @pytest.mark.parametrize("module,binder,name,old,new,kill", CASES)
 def test_fault_is_caught_by_its_deterministic_test(monkeypatch, module, binder, name, old, new, kill):
-    monkeypatch.setattr(binder, name, _mutant(module, name, old, new))
+    target = _owner(module, name) if "." in name else (binder, name)
+    monkeypatch.setattr(*target, _mutant(module, name, old, new))
     with pytest.raises(AssertionError):
         kill()
 
@@ -254,6 +294,10 @@ def test_every_module_that_binds_a_faulted_function_has_a_row_entry():
     modules = [importlib.import_module(f"abelfm.{m.name}")
                for m in pkgutil.iter_modules(abelfm.__path__) if m.name != "__main__"]
     for fault, module, name, _, _, kills in MUTANTS:
-        original = getattr(module, name)
-        binders = {m for m in modules if getattr(m, name, None) is original}
+        if "." in name:  # a method: every module that calls it
+            call = f".{name.rsplit('.', 1)[-1]}("
+            binders = {m for m in modules if call in inspect.getsource(m)}
+        else:
+            original = getattr(module, name)
+            binders = {m for m in modules if getattr(m, name, None) is original}
         assert binders == set(kills), fault
