@@ -163,10 +163,11 @@ def _cmd_walls(args, cfg) -> int:
     ds = scan.scan_walls(req)
     status = 0
     if args.recheck:
-        if scan.recheck_walls(ds):
+        bad = scan.first_bad_cell(ds)
+        if bad is None:
             print(f"recheck: all {len(ds.cells)} cells confirmed", file=sys.stderr)
         else:
-            print(f"recheck: FAIL, {_describe(scan.first_bad_cell(ds))}", file=sys.stderr)
+            print(f"recheck: FAIL, {_describe(bad)}", file=sys.stderr)
             status = 1
     if args.out:
         path = _out_path(args.out)
@@ -257,7 +258,8 @@ _VERBS = (
         ("--out", dict(default=None, help="output path (stdout when omitted)")),
         ("--format", dict(choices=_FORMATS, default="csv")),
         ("--recheck", dict(action="store_true", help=(
-            "independently re-verify every emitted cell through the public charge"))),
+            "independently re-verify every emitted cell through the integer core of"
+            " the rotated charge"))),
     )),
     ("verify", "run a self-check suite", _cmd_verify, (
         ("--suite", dict(choices=_SUITES, default="all")),

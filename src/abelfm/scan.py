@@ -12,7 +12,7 @@ stability's one charge polynomial, rescaled to the grid and divided by
 their gcd.  At level k that integral is z^(g-k) * P(z) with P of degree k,
 z = b + i*t; the dropped factor scales W by |z|^(2(g-k)) > 0, so the
 scanner keeps only the k + 1 coefficients of P, and its cost follows k,
-not g.  The independent re-check in recheck_walls goes through the
+not g.  The independent re-check, first_bad_cell, goes through the
 rotated charge instead, which also exercises that cancellation.
 
 The scanner makes one pass over the b columns of the grid, with every
@@ -51,11 +51,12 @@ from its coefficients, with no evaluation; otherwise R_v and I_v are
 evaluated down the columns only until the first point where one of them is
 nonzero.
 
-recheck_walls walks the emitted cells in order and computes each charge it
-needs once per call: one probe charge per distinct cell corner, and one
-wall charge per distinct (wall, corner).  That is at most 8 core
-evaluations per cell and at most walls + 1 per grid point; along a wall
-curve, where neighbouring cells share corners, it is about 4 per cell.
+first_bad_cell walks the emitted cells in order, stops at the first that
+fails (recheck_walls is its "is None"), and computes each charge it needs
+once per call: one probe charge per distinct cell corner, one wall charge
+per distinct (wall, corner).  That is at most 8 core evaluations per cell
+and at most walls + 1 per grid point; about 4 per cell along a wall curve,
+where neighbouring cells share corners.
 A WallDataset checks its cells' wall indices and exact coordinates when it
 is built, so the recheck and the emitters read them as given.  The recheck
 maps a cell's b and t to indices on the scanner's integer axes by integer
@@ -352,7 +353,7 @@ def scan_walls(req: ScanRequest) -> WallDataset:
 
 @dataclass(frozen=True)
 class RecheckFailure:
-    """An emitted cell that failed the recheck, with the signs of W at its
+    """The cell at which first_bad_cell stopped, with the signs of W at its
     corners (b, t), (b', t), (b, t'), (b', t'); corners is None only when
     the cell is off the grid: its lower-left corner is not a grid point
     with a cell above and to its right."""
@@ -361,15 +362,23 @@ class RecheckFailure:
     corners: tuple[int, int, int, int] | None
 
 
-def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
+def first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
+    """Independent soundness pass: the first emitted cell, in cell order,
+    whose four corner values, recomputed through the exact rotated charge
+    (stability._horner_core, the integer core of the public charge), fail
+    the sign-change predicate; None when every cell passes.  The walk stops
+    there, so a failure costs the charges up to that cell, once.  Each
+    charge is computed once per call (the module docstring counts them) and
+    each corner is found on the integer grid by arithmetic: O(cells +
+    distinct corners), whatever the resolution.  A cell fails only off the
+    grid or with four equal corner signs; the dataset checked its wall
+    index and coordinate types when it was built."""
     req = ds.request
     nb, nt = req.resolution
     scale, bi0, dbi, ti0, dti = _grid(req)
     # ScanRequest has checked k and t > 0, and its classes carry no shift,
-    # so the rotated core that charge wraps is called directly on integer
-    # tuples, with each class's numerators built once.  The caches live for
-    # this call and fill in cell order, so a bad dataset stops at the same
-    # cell.
+    # so the rotated core that charge wraps runs directly on integer tuples,
+    # each class's numerators built once; the caches live for this call.
     ctx, k = req.ctx, req.k
     turns = ctx.g - k + 2  # -(i^(g-k)), as in charge_at
     v_ints = _charge_ints(ctx, req.v, k)
@@ -400,24 +409,8 @@ def _first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
 
 
 def recheck_walls(ds: WallDataset) -> bool:
-    """Independent soundness pass: recompute the four corner values of every
-    emitted cell through the exact rotated charge (stability._horner_core,
-    the integer core of the public charge) and confirm the sign-change
-    predicate.  Returns True when every cell passes.
-
-    Each charge is computed once per call (the module docstring counts
-    them), and each cell's corner is found on the integer grid by
-    arithmetic, so the cost is O(cells + distinct corners), whatever the
-    resolution.  The dataset checked each cell's wall index and coordinate
-    types when it was built, so a cell fails only off the grid or with four
-    equal corner signs."""
-    return _first_bad_cell(ds) is None
-
-
-def first_bad_cell(ds: WallDataset) -> RecheckFailure | None:
-    """The first emitted cell that recheck_walls rejects, off the grid or
-    with four equal corner signs; None when every cell passes."""
-    return _first_bad_cell(ds)
+    """True when first_bad_cell(ds) finds no bad cell."""
+    return first_bad_cell(ds) is None
 
 
 def emit_csv(ds: WallDataset) -> str:

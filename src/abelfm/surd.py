@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering, wraps
+from functools import cached_property, total_ordering, wraps
 from math import gcd, isqrt, lcm
 
 
@@ -450,11 +450,15 @@ class PolarScalar:
             return -1
         return None
 
-    def to_exact(self) -> SurdComplex | None:
-        """Rectangular form over Q(sqrt 3), or None when the angle needs a
-        radical outside the field (for example multiples of pi/4)."""
+    @cached_property
+    def _rect(self) -> SurdComplex | None:
         u = _unit(self.angle)
         return None if u is None else SurdComplex._new(u.re * self.modulus, u.im * self.modulus)
+
+    def to_exact(self) -> SurdComplex | None:
+        """Rectangular form over Q(sqrt 3), built once per scalar; None when
+        the angle needs a radical outside the field (e.g. multiples of pi/4)."""
+        return self._rect
 
     def __str__(self):
         return f"{self.modulus}@{self.angle}"

@@ -731,6 +731,37 @@ def test_walls_recheck_names_the_failing_cell(capsys, scan_cfg, monkeypatch):
     assert err == "recheck: FAIL, emitted cell off the grid: wall 0, b = 3/2, t = 1/3\n"
 
 
+def test_walls_recheck_walks_once_on_failure(capsys, monkeypatch):
+    # the shipped example plus one cell that does not cross: the failing
+    # recheck stops there and its stderr line comes from the same walk, so
+    # the run makes the walk's 1,372 core evaluations, not twice that
+    import abelfm.scan
+
+    real_scan, core = abelfm.scan.scan_walls, abelfm.scan._horner_core
+
+    def corrupted(req):
+        ds = real_scan(req)
+        bad = abelfm.scan.WallCell(0, F(-2), F(199, 100))
+        return type(ds)(ds.request, ds.cells + (bad,), ds.trivial_walls, ds.v_degenerate)
+
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return core(*args)
+
+    monkeypatch.setattr(abelfm.scan, "scan_walls", corrupted)
+    monkeypatch.setattr(abelfm.scan, "_horner_core", counting)
+    rc, out, err = run(capsys, ["walls", "--config", str(EXAMPLE), "--recheck"])
+    assert (rc, calls) == (1, 1372)
+    assert out.startswith("w,b,t\n")
+    assert err == (
+        "recheck: FAIL, emitted cell without sign change: wall 0, b = -2, t = 199/100,"
+        " corner signs -, -, -, - at (b, t), (b', t), (b, t'), (b', t')\n"
+    )
+
+
 FLOAT_LITERAL = re.compile(r"\d\.\d|\d[eE][-+]?\d|\b(nan|inf)\b")
 
 

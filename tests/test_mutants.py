@@ -122,7 +122,7 @@ MUTANTS = [
     ),
     (
         "recheck-cache-keyed-without-the-wall",
-        abelfm.scan, "_first_bad_cell", "w_ints[wi]", "w_ints[0]",
+        abelfm.scan, "first_bad_cell", "w_ints[wi]", "w_ints[0]",
         {abelfm.scan: _recheck_example(2, 2)},
     ),
     (

@@ -492,9 +492,10 @@ def _corrupted_examples(ds):
 def test_recheck_matches_the_per_cell_reference(g, k):
     ds = _seeded_dataset(g, k)
     assert (len(ds.cells) > 0) == (k > 1)  # level-1 scans emit no cells
-    assert first_bad_cell(ds) is None and _first_bad_cell_reference(ds) is None
+    # through the module, so that a mutant bound there is the walk under test
+    assert abelfm.scan.first_bad_cell(ds) is None and _first_bad_cell_reference(ds) is None
     for bad, first, on_grid in _corrupted_examples(ds):
-        got = first_bad_cell(bad)
+        got = abelfm.scan.first_bad_cell(bad)
         assert got == _first_bad_cell_reference(bad)
         assert got.cell == first
         if on_grid:
