@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import config
 from .lattice import chi_advisory, divided_power_basis, skyscraper
-from .literals import format_class, format_rational, parse_polar, parse_rational
+from .literals import parse_polar, parse_rational
 from .surd import PolarScalar
 
 __all__ = ["build_parser", "main"]
@@ -65,11 +65,11 @@ def _cmd_transform(args, cfg) -> int:
     spec = config.transform_from(cfg)
     e = config.class_from(spec.src, args.cls)
     img = transform.apply(spec, e)
-    print(f"source = {format_class(e.c)}")
-    print(f"image  = {format_class(img.c)}")
+    print(f"source = {e}")
+    print(f"image  = {img}")
     rev, shift = transform.quasi_inverse(spec)
     back = transform.apply(rev, img)
-    print(f"round trip (shift {shift}) = {format_class(back.c)}")
+    print(f"round trip (shift {shift}) = {back}")
     return 0
 
 
@@ -86,7 +86,7 @@ def _cmd_charge(args, cfg) -> int:
     e = config.class_from(ctx, args.cls)
     _warn_chi(ctx)  # after parsing, so malformed input gets one stderr line
     z = stability.charge(spec, e)
-    print(f"k = {spec.k}, b = {format_rational(spec.b)}, t = {spec.t}")
+    print(f"k = {spec.k}, b = {spec.b}, t = {spec.t}")
     print(f"Z = {z}")
     s = stability.slope(spec, e)
     print(f"slope = {'infinity' if s is None else s}")
@@ -125,7 +125,7 @@ def _cmd_params(args, cfg) -> int:
     spec = config.transform_from(cfg)
     lam = parse_rational(args.lam)
     omega_src, omega_dst = induced.conjecture_params(spec, args.k, lam)
-    print(f"k = {args.k}, lambda = {format_rational(lam)}, g = {spec.g}")
+    print(f"k = {args.k}, lambda = {lam}, g = {spec.g}")
     print(f"omega_src = {omega_src}  [units of l]")
     print(f"omega_dst = {omega_dst}  [units of l]")
     u = PolarScalar(lam, Fraction(args.k, spec.g))
@@ -145,7 +145,7 @@ def _cmd_params(args, cfg) -> int:
 def _describe(bad) -> str:
     """The stderr text for a scan.RecheckFailure."""
     cell = bad.cell
-    where = f"wall {cell.w_index}, b = {format_rational(cell.b)}, t = {format_rational(cell.t)}"
+    where = f"wall {cell.w_index}, b = {cell.b}, t = {cell.t}"
     if bad.corners is None:
         return f"emitted cell off the grid: {where}"
     signs = ", ".join("+" if s > 0 else "-" if s < 0 else "0" for s in bad.corners)

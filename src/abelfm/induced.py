@@ -66,7 +66,7 @@ class ComplexAmpleClass:
         rect = self.as_surd()
         if rect is None:
             return f"({self.base}) + ({self.u})"
-        return f"({rect.re}) + ({rect.im})*i"
+        return str(rect)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Parsing and formatting for the exact text formats used by configs, the
-command line, and emitted datasets.
+"""Parsing of the exact text formats read from configs and the command
+line.  Each exact value prints itself in the same grammar through its own
+__str__, so what the program prints reads back through these parsers.
 
 Rationals are written "p/q" with q > 0, or with the integer shorthand "p".
 Surds add an optional "*sqrt3" term, as in "1/2", "3*sqrt3", "sqrt3" or
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .surd import Q3, as_fraction
+from .surd import Q3
 
 _RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -26,19 +27,6 @@ def parse_rational(text: str) -> Fraction:
     if "/" in t and int(t.split("/")[1]) == 0:
         raise ValueError(f"bad rational literal {text!r} (zero denominator)")
     return Fraction(t)
-
-
-def format_rational(x: Fraction) -> str:
-    """Canonical reduced form with integer shorthand, for human output."""
-    return str(Fraction(x))
-
-
-def format_rational_frac(x: Fraction) -> str:
-    """Always "p/q", used in emitted datasets.  Only an int or a Fraction
-    is accepted: a float or bool raises TypeError rather than printing its
-    binary expansion or 1/1."""
-    x = as_fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_surd(text: str) -> Q3:
@@ -61,10 +49,6 @@ def parse_class_coeffs(text: str) -> list[Fraction]:
     if not parts or parts == [""]:
         raise ValueError("empty class literal")
     return [parse_rational(p) for p in parts]
-
-
-def format_class(coeffs) -> str:
-    return ",".join(format_rational(c) for c in coeffs)
 
 
 def parse_polar(text: str) -> tuple[Fraction, Fraction]:

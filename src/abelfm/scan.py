@@ -74,10 +74,13 @@ the scanner, so a fault in either is invisible to it; the scan tests
 against their own dense reference catch one.
 
 Emission is byte-deterministic: fixed orderings, exact "p/q" encodings in
-CSV and JSON, fixed float formatting in SVG.  The JSON text is the
-dataset's record as json.dumps(..., sort_keys=True, indent=2) writes it;
-emit_json writes each cell with one f-string rather than building a dict
-per cell, so its peak memory is about its output plus one string per cell.
+CSV and JSON, fixed float formatting in SVG.  _pq writes every "p/q",
+integers included ("2/1"); it reads numerator and denominator as given,
+since WallDataset, ScanRequest and AbelianContext hold only ints and
+Fractions there.  The JSON text is the dataset's record as
+json.dumps(..., sort_keys=True, indent=2) writes it; emit_json writes each
+cell with one f-string rather than building a dict per cell, so its peak
+memory is about its output plus one string per cell.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ from functools import cache
 from math import gcd, lcm
 
 from .lattice import AbelianContext, CohClass, _require_match
-from .literals import format_rational_frac
 from .stability import _charge_ints, _check_level, _horner_core
 from .stability import charge  # noqa: F401  (scan.charge: perfbench's tracer rebinds it here)
 from .surd import _cross_sign_ints, as_fraction
@@ -413,12 +415,14 @@ def recheck_walls(ds: WallDataset) -> bool:
     return first_bad_cell(ds) is None
 
 
+def _pq(x) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
 def emit_csv(ds: WallDataset) -> str:
     lines = ["w,b,t"]
     for cell in ds.cells:
-        lines.append(
-            f"{cell.w_index},{format_rational_frac(cell.b)},{format_rational_frac(cell.t)}"
-        )
+        lines.append(f"{cell.w_index},{_pq(cell.b)},{_pq(cell.t)}")
     return "\n".join(lines) + "\n"
 
 
@@ -431,9 +435,9 @@ def emit_json(ds: WallDataset) -> str:
         {
             "k": req.k,
             "g": req.ctx.g,
-            "n": format_rational_frac(req.ctx.n),
-            "b_range": [format_rational_frac(x) for x in req.b_range],
-            "t_range": [format_rational_frac(x) for x in req.t_range],
+            "n": _pq(req.ctx.n),
+            "b_range": [_pq(x) for x in req.b_range],
+            "t_range": [_pq(x) for x in req.t_range],
             "resolution": list(req.resolution),
             "v_degenerate": ds.v_degenerate,
             "trivial_walls": list(ds.trivial_walls),
@@ -446,8 +450,8 @@ def emit_json(ds: WallDataset) -> str:
         return head + "\n"
     before, after = head.split('"cells": []')
     cells = ",\n".join(
-        f'    {{\n      "b": "{format_rational_frac(c.b)}",\n'
-        f'      "t": "{format_rational_frac(c.t)}",\n      "w": {c.w_index}\n    }}'
+        f'    {{\n      "b": "{_pq(c.b)}",\n'
+        f'      "t": "{_pq(c.t)}",\n      "w": {c.w_index}\n    }}'
         for c in ds.cells
     )
     return "".join((before, '"cells": [\n', cells, "\n  ]", after, "\n"))

@@ -33,7 +33,6 @@ from typing import NamedTuple
 from .lattice import (
     AbelianContext,
     CohClass,
-    ShiftedClass,  # noqa: F401  (kept importable from here)
     _conv,
     _exp_ints,
     _require_match,

@@ -559,7 +559,7 @@ def _check_slice_windows() -> tuple[str, str]:
     o = lattice.structure_sheaf(ctx1)  # charge i, phase 1/2
     _expect(not stability.in_slice(spec1, o, (half, one)), "phase(e) = 1/2 lies outside (1/2, 1]",
             spec=spec1, e=o)
-    sh = transform.ShiftedClass(o, 1)  # phase 3/2
+    sh = lattice.ShiftedClass(o, 1)  # phase 3/2
     _expect(stability.in_slice(spec1, sh, (half, threehalf)), "phase(e[1]) lies in (1/2, 3/2]",
             spec=spec1, e=o)
     b, t = Fraction(0), Fraction(1)

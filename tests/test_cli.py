@@ -162,6 +162,67 @@ def test_params_ok(capsys, poincare_cfg):
     assert "phase shift: holds=True, expected heart shift = 1, exact=True" in out
 
 
+def _fenced_after(text: str, marker: str, fence: str = "```\n") -> str:
+    """The first fenced block after marker in text."""
+    return text.split(marker, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
+def _runs_in_order(block: str, out: str) -> bool:
+    """Whether each run of block lines between "..." lines is a run of
+    consecutive lines of out, each after the one before."""
+    lines, at = out.splitlines(), 0
+    for chunk in block.split("...\n"):
+        want = chunk.splitlines()
+        at = next((i for i in range(at, len(lines) - len(want) + 1)
+                   if lines[i:i + len(want)] == want), None)
+        if at is None:
+            return False
+        at += len(want)
+    return True
+
+
+@pytest.mark.parametrize(
+    "marker,argv,transform",
+    [
+        ("`transform` applies", ["transform", "--class", "0,0,1/2"], {}),
+        ("`charge` evaluates", ["charge", "--class", "1,1,1/2", "--k", "1"], {}),
+        ("`zeta` prints", ["zeta", "--u", "2@1/2"], {}),
+        ("`params` picks", ["params", "--k", "1", "--lambda", "2"], {}),
+        ("At any other angle", ["params", "--k", "1", "--lambda", "2"],
+         {"g": 4, "nX": "24", "nY": "24"}),
+    ],
+)
+def test_readme_cli_examples_print_what_main_prints(capsys, tmp_path, marker, argv, transform):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    cfg = json.loads(_fenced_after(text, "A config that feeds every verb:", "```json\n"))
+    cfg["transform"].update(transform)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    block = _fenced_after(text, marker)
+    rc, out, err = run(capsys, [*argv, "--config", str(path)])
+    assert (rc, err) == (0, "")
+    if "...\n" in block:
+        assert _runs_in_order(block, out), out
+    else:
+        assert out == block
+
+
+def test_params_exits_1_when_the_transport_identity_fails(capsys, poincare_cfg, monkeypatch):
+    import abelfm.induced
+
+    real = abelfm.induced._law_ints
+
+    def broken(spec, e):
+        ln, ld, rn, rd = real(spec, e)
+        rn[0] += rd  # the target side's constant term off by one
+        return ln, ld, rn, rd
+
+    monkeypatch.setattr(abelfm.induced, "_law_ints", broken)
+    rc, out, err = run(capsys, ["params", "--config", poincare_cfg, "--k", "1", "--lambda", "2"])
+    assert (rc, err) == (1, "FAIL: charge transport identity violated\n")
+    assert "\ne0       False  True   (4) + (0)*i | (5) + (0)*i\n" in out
+
+
 def test_walls_stdout_deterministic(capsys, scan_cfg):
     rc, out1, _ = run(capsys, ["walls", "--config", scan_cfg])
     assert rc == 0

@@ -204,6 +204,14 @@ def test_phase_shift_check_float():
     assert verdict.expected_shift == 0  # round(2 * 1/4) banker-rounds to 0
 
 
+def test_phase_shift_check_rejects_a_vanishing_source_charge():
+    # the source charge -n(u^2 c0/2 - u c1 + c2) of 2,0,1 vanishes at u = i
+    spec = poincare2()
+    e = CohClass(spec.src, (F(2), F(0), F(1)))
+    with pytest.raises(ValueError, match=r"^phase shift undefined: source charge vanishes$"):
+        phase_shift_check(spec, PolarScalar(F(1), H), e)
+
+
 def test_zeta_reality_against_angle_grid():
     spec = spec3()
     for q in range(1, 8):

@@ -13,6 +13,7 @@ from abelfm.lattice import (
     AbelianContext,
     CohClass,
     ContextMismatchError,
+    VVector,
     chi_advisory,
     divided_power_basis,
     exp_div,
@@ -78,6 +79,8 @@ def test_class_length_validation():
         CohClass(ctx, (F(1), F(0)))  # needs g + 1 = 3 coefficients
     with pytest.raises(TypeError):
         CohClass(ctx, (0.5, F(0), F(0)))
+    with pytest.raises(ValueError, match=r"^v-vector needs 3 entries, got 2$"):
+        VVector(ctx, 0, (1, 2))
 
 
 def test_mul_truncates():

@@ -4,17 +4,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from abelfm.literals import (
-    format_class,
-    format_rational,
-    format_rational_frac,
-    parse_class_coeffs,
-    parse_polar,
-    parse_rational,
-    parse_surd,
-)
-from abelfm.surd import Q3
+from abelfm.lattice import AbelianContext, CohClass
+from abelfm.literals import parse_class_coeffs, parse_polar, parse_rational, parse_surd
+from abelfm.surd import Q3, PolarScalar
+
+F = Fraction
 
 
 def test_parse_rational_forms():
@@ -33,11 +29,26 @@ def test_parse_rational_rejects_every_zero_denominator():
     assert parse_rational("0/10") == 0
 
 
-def test_format_rational_shapes():
-    assert format_rational(Fraction(4)) == "4"
-    assert format_rational(Fraction(-1, 3)) == "-1/3"
-    assert format_rational_frac(Fraction(4)) == "4/1"
-    assert format_rational_frac(Fraction(0)) == "0/1"
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+
+@given(
+    coeffs=st.lists(rationals, min_size=2, max_size=4),
+    q=rationals,
+    x=st.tuples(rationals, rationals),
+    polar=st.tuples(rationals.filter(lambda m: m > 0), rationals),
+)
+@example(coeffs=[F(1), F(-1, 2), F(0)], q=F(4), x=(F(0), F(1)), polar=(F(2), F(1, 2)))
+@example(coeffs=[F(0), F(0)], q=F(-1, 3), x=(F(1, 2), F(-1, 3)), polar=(F(3, 2), F(-7, 3)))
+@example(coeffs=[F(-4), F(9, 2)], q=F(0), x=(F(-1, 2), F(0)), polar=(F(1, 7), F(1)))
+def test_printed_values_read_back(coeffs, q, x, polar):
+    # each exact value prints itself in the grammar its parser reads
+    e = CohClass(AbelianContext(len(coeffs) - 1, F(2)), coeffs)
+    assert tuple(parse_class_coeffs(str(e))) == e.c
+    assert parse_rational(str(q)) == q
+    assert parse_surd(str(Q3(*x))) == Q3(*x)
+    u = PolarScalar(*polar)
+    assert parse_polar(str(u)) == (u.modulus, u.angle)
 
 
 @pytest.mark.parametrize(
@@ -76,9 +87,7 @@ def test_literals_strip_whitespace_at_the_ends_only():
 
 def test_class_coeffs_roundtrip():
     coeffs = (Fraction(1), Fraction(-1, 2), Fraction(0))
-    text = format_class(coeffs)
-    assert text == "1,-1/2,0"
-    assert tuple(parse_class_coeffs(text)) == coeffs
+    assert tuple(parse_class_coeffs("1,-1/2,0")) == coeffs
     with pytest.raises(ValueError):
         parse_class_coeffs("1,,2")
     with pytest.raises(ValueError):

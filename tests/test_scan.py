@@ -685,8 +685,10 @@ def test_csv_always_fractional_encoding():
         resolution=(3, 3),
     )
     # wall 2bt vanishes on the b = 0 column and is positive to the right
-    text = emit_csv(scan_walls(req))
-    assert text.splitlines()[1] == "0,0/1,1/1"
+    ds = scan_walls(req)
+    assert emit_csv(ds).splitlines()[1] == "0,0/1,1/1"
+    # a cell given as ints, as a dataset may hold one, writes the same row
+    assert emit_csv(replace(ds, cells=(WallCell(0, 0, 1),))) == "w,b,t\n0,0/1,1/1\n"
 
 
 def test_json_fields():

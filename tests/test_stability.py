@@ -11,6 +11,7 @@ from abelfm.lattice import (
     AbelianContext,
     CohClass,
     ContextMismatchError,
+    ShiftedClass,
     line_bundle,
     skyscraper,
     structure_sheaf,
@@ -31,7 +32,6 @@ from abelfm.stability import (
     slope_cmp,
 )
 from abelfm.surd import Q3, SurdComplex, direction_pi
-from abelfm.transform import ShiftedClass
 
 F = Fraction
 SQRT3 = Q3(0, 1)
@@ -56,6 +56,8 @@ def test_charge_spec_validation():
     with pytest.raises(ValueError):
         ChargeSpec(ctx, 1, F(0), Q3(1, -1))  # 1 - sqrt3 < 0
     ChargeSpec(ctx, 1, F(0), Q3(-1, 1))  # sqrt3 - 1 > 0 is a valid scale
+    with pytest.raises(TypeError, match=r"^expected CohClass or ShiftedClass, got 1$"):
+        charge(ChargeSpec(ctx, 1), 1)
 
 
 def test_level_one_truncated_charge_worked_example():

@@ -18,6 +18,7 @@ from abelfm.surd import (
     SurdComplex,
     _unit,
     as_fraction,
+    as_q3,
     direction_pi,
     normalize_angle,
 )
@@ -34,6 +35,9 @@ def test_as_fraction_accepts_exact_and_rejects_floats():
         as_fraction(0.5)
     with pytest.raises(TypeError):
         as_fraction(True)
+    assert as_q3(Fraction(2, 7)) == Q3(Fraction(2, 7))
+    with pytest.raises(TypeError, match=r"^expected Q3 or exact rational, got 1\.5$"):
+        as_q3(1.5)
 
 
 def test_q3_sign_is_exact_near_sqrt3():

@@ -10,6 +10,7 @@ from abelfm.lattice import (
     AbelianContext,
     CohClass,
     ContextMismatchError,
+    ShiftedClass,
     VVector,
     divided_power_basis,
     exp_div,
@@ -24,7 +25,6 @@ from abelfm.lattice import (
 from abelfm.transform import (
     FMTransformSpec,
     InvalidSpecError,
-    ShiftedClass,
     adjoint_pairing_check,
     antidiag_matrix,
     apply,

@@ -200,6 +200,11 @@ def test_law_suite_passes():
     assert ok, [r.line() for r in results if r.status == "FAIL"]
 
 
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope', want one of \("):
+        verify.run_verify("nope")
+
+
 def test_transform_witness_is_the_readme_line():
     # the README shows the transform row's first FAIL line as its example
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
