@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .lattice import AbelianContext, CohClass, twist
 from .stability import _charge_ints, _horner_ints
-from .surd import PolarScalar, SurdComplex, as_fraction
+from .surd import PolarScalar, SurdComplex, as_fraction, normalize_angle
 from .transform import FMTransformSpec, apply
 
 
@@ -87,13 +87,13 @@ def zeta(spec: FMTransformSpec, u: PolarScalar) -> PolarScalar:
     """The exact polar factor r * n_X * u^g / g!, built on integers: with
     n_X = a/b and |u| = p/q its modulus is the one Fraction
     r * a * p^g / (b * q^g * g!), and its angle is g times the angle of u,
-    which PolarScalar normalizes into (-1, 1]."""
+    normalized into (-1, 1]."""
     g = spec.g
     n, m = spec.src.n, u.modulus
     modulus = Fraction(
         spec.r * n.numerator * m.numerator**g, n.denominator * m.denominator**g * factorial(g)
     )
-    return PolarScalar(modulus, u.angle * g)
+    return PolarScalar._new(modulus, normalize_angle(u.angle * g))
 
 
 def induced_law(spec: FMTransformSpec, u: PolarScalar) -> InducedChargeLaw:

@@ -55,7 +55,7 @@ class AbelianContext:
         if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 1:
             raise ValueError(f"dimension g must be an integer >= 1, got {self.g!r}")
         object.__setattr__(self, "n", as_fraction(self.n))
-        if self.n <= 0:
+        if self.n.numerator <= 0:
             raise ValueError(f"top intersection n must be positive, got {self.n}")
 
     def matches(self, other: "AbelianContext") -> bool:

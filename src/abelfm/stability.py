@@ -24,7 +24,7 @@ with surd._cross_sign_ints, building no Q3.
 
 The level rule (k an integer in 1..g) is written once, in _check_level,
 which ChargeSpec and scan.ScanRequest both call; bg_check validates its
-(b, t) by building a ChargeSpec.  Slopes are -Re/Im with Im = 0 read as
+(b, t) by building a ChargeSpec, and decides its bound on integers.  Slopes are -Re/Im with Im = 0 read as
 slope +infinity (returned as None); _slope_of computes them for slope and
 hn_polygon alike, and slope_cmp orders them.
 Phases are arg(Z)/pi in (0, 1] plus any explicit homological shift carried
@@ -48,7 +48,7 @@ from math import atan2, factorial, floor, pi
 from typing import Sequence
 
 from .lattice import AbelianContext, CohClass, ShiftedClass, _require_match, twist
-from .surd import Q3, SurdComplex, _clear, _cross_sign, as_fraction, as_q3, direction_pi
+from .surd import Q3, SurdComplex, _clear, _cross_sign, _sign3, as_fraction, as_q3, direction_pi
 
 
 class HeartValueError(ValueError):
@@ -344,21 +344,26 @@ class BGVerdict:
 def bg_check(ctx: AbelianContext, b, t, e: CohClass) -> BGVerdict:
     """Exact degree-three bound ch_3^B * n <= (t^2/18) * ch_1^B * n on a
     threefold (g = 3).  Larger t never falsifies a true verdict when the
-    twisted degree-one coefficient is nonnegative."""
+    twisted degree-one coefficient is nonnegative.
+
+    Decided on integers: with the twisted numerators C_1, C_3 over D,
+    n = p/q and t = (ta + tb*sqrt 3)/td, rhs - lhs is
+    ((ta^2 + 3 tb^2) C_1 p - 18 td^2 C_3 p + 2 ta tb C_1 p sqrt 3) over the
+    positive 18 td^2 D q, so one sign test in Z[sqrt 3] decides it."""
     if ctx.g != 3:
         raise ValueError(f"bg_check needs g = 3, got g = {ctx.g}")
     _require_match(e.ctx, ctx, "bg_check")
     spec = ChargeSpec(ctx, 2, b, t)  # validates b and t
-    b, t = spec.b, spec.t
-    c = twist(e, b).c
+    tw = twist(e, spec.b)
+    c1, c3 = tw._nums[1] * ctx.n.numerator, tw._nums[3] * ctx.n.numerator
+    den = tw._den * ctx.n.denominator
+    ta, tb, td = spec.t._abd
+    ra, rb, rd = (ta * ta + 3 * tb * tb) * c1, 2 * ta * tb * c1, 18 * td * td
     z2 = charge(spec, e)
-    precondition = z2.re.sign() == 0 and not z2.is_zero
-    lhs = Q3(c[3] * ctx.n)
-    rhs = (t * t) * Fraction(c[1] * ctx.n, 18)
     return BGVerdict(
-        precondition_zero_slope=precondition,
-        inequality_holds=(rhs - lhs).sign() >= 0,
-        lhs=lhs,
-        rhs=rhs,
+        precondition_zero_slope=z2.re.sign() == 0 and not z2.is_zero,
+        inequality_holds=_sign3(ra - rd * c3, rb) >= 0,
+        lhs=Q3._new(c3, 0, den),
+        rhs=Q3._new(ra, rb, rd * den),
         charge2=z2,
     )

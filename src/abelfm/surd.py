@@ -24,6 +24,10 @@ Each binary operator reads its operand through one decorator, _operand: a
 Q3 operator gets the canonical triple of an int, Fraction or Q3, and a
 SurdComplex operator a SurdComplex, a real operand landing on the real axis;
 any other operand gives NotImplemented.  Each operation then has one formula.
+A SurdComplex product is one integer product in Z[sqrt 3][i]: each operand
+is read from its two parts' triples as (x + i*y)/d with x and y in
+Z[sqrt 3], and the two parts of the product, over d*e, become Q3s by one
+gcd each.
 
 The sign of a + b*sqrt 3 for integers a and b is decided in one place,
 _sign3.  A complex value cleared to one denominator D > 0 is the integer
@@ -306,9 +310,26 @@ class SurdComplex:
 
     @_operand(_complex)
     def __mul__(self, o):
+        # (x + i*y)/d times (u + i*v)/e in Z[sqrt 3][i].  The operands are
+        # cleared here, not by _clear, which the charge's Horner core shares:
+        # verify's series oracle multiplies SurdComplex values, and so shares
+        # only Q3 with the core it checks.
+        xa, xb, p = self.re._abd
+        ya, yb, q = self.im._abd
+        d = lcm(p, q)
+        m, n = d // p, d // q
+        xa, xb, ya, yb = xa * m, xb * m, ya * n, yb * n
+        ua, ub, p = o.re._abd
+        va, vb, q = o.im._abd
+        e = lcm(p, q)
+        m, n = e // p, e // q
+        ua, ub, va, vb = ua * m, ub * m, va * n, vb * n
+        de = d * e
         return SurdComplex._new(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
+            Q3._new(xa * ua - ya * va + 3 * (xb * ub - yb * vb),
+                    xa * ub + xb * ua - ya * vb - yb * va, de),
+            Q3._new(xa * va + ya * ua + 3 * (xb * vb + yb * ub),
+                    xa * vb + xb * va + ya * ub + yb * ua, de),
         )
 
     __rmul__ = __mul__
@@ -423,20 +444,29 @@ class PolarScalar:
 
     def __post_init__(self):
         m = as_fraction(self.modulus)
-        if m <= 0:
+        if m.numerator <= 0:
             raise ValueError(f"polar modulus must be positive, got {m}")
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "angle", normalize_angle(as_fraction(self.angle)))
+
+    @staticmethod
+    def _new(modulus: Fraction, angle: Fraction) -> "PolarScalar":
+        """modulus * exp(i * angle * pi) for a positive Fraction modulus and
+        an angle already normalized into (-1, 1], without the checks."""
+        z = _object_new(PolarScalar)
+        object.__setattr__(z, "modulus", modulus)
+        object.__setattr__(z, "angle", angle)
+        return z
 
     def power(self, k: int) -> "PolarScalar":
         if not isinstance(k, int) or isinstance(k, bool):
             raise TypeError("power expects an integer exponent")
         if k >= 0:
-            return PolarScalar(self.modulus**k, self.angle * k)
+            return PolarScalar._new(self.modulus**k, normalize_angle(self.angle * k))
         return self.inverse().power(-k)
 
     def inverse(self) -> "PolarScalar":
-        return PolarScalar(1 / self.modulus, -self.angle)
+        return PolarScalar._new(1 / self.modulus, normalize_angle(-self.angle))
 
     @property
     def is_real(self) -> bool:

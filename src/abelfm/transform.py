@@ -17,7 +17,11 @@ and `lattice.from_v_vector`).  `apply` computes the same map in one fused
 pass on the lattice's integer kernel, e -> e^{d_Y l} * R(e^{d_X l} * e),
 where R is the scaled reversal R(c)_i = (g!/r)(-1)^i (g-i)!/(i! n_Y) c_{g-i}:
 integer numerators over one common denominator throughout, read from the
-class and handed back to it with one gcd.  The composite of a transform
+class and handed back to it with one gcd.  Everything in that pass that
+depends only on the spec (the numerators of both exponentials, the
+reversal weights and the denominator factor) is its integer kernel, built
+on a spec's first use and kept on it, so a class costs two `_conv` calls
+and one elementwise product.  The composite of a transform
 with its reverse acts as (-1)^g times the identity, which pins down all
 sign and shift conventions used here; the quasi-inverse therefore carries
 an explicit homological shift by g.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import NamedTuple
 
@@ -79,6 +84,24 @@ class FMTransformSpec:
     def g(self) -> int:
         return self.src.g
 
+    @cached_property
+    def _kernel(self) -> tuple[list[int], list[int], list[int], int]:
+        """The integers `apply` needs besides the class, built once per
+        spec: the numerators of e^{d_x l} and of e^{d_y l}, the reversal
+        weights (-1)^i (g!/i!) (g-i)! b with n_Y = a/b, and the factor
+        dy r a dx of the image's denominator, dx and dy being those of the
+        two exponentials."""
+        g = self.g
+        nx, dx = _exp_ints(self.d_x, g)
+        ny, dy = _exp_ints(self.d_y, g)
+        a, b = self.dst.n.numerator, self.dst.n.denominator
+        fg = factorial(g)
+        weights = []
+        for i in range(g + 1):
+            w = fg // factorial(i) * factorial(g - i) * b
+            weights.append(-w if i & 1 else w)
+        return nx, ny, weights, dy * self.r * a * dx
+
 
 class QuasiInverse(NamedTuple):
     spec: FMTransformSpec
@@ -105,19 +128,14 @@ def apply(spec: FMTransformSpec, e: CohClass) -> CohClass:
     coordinates with twist d_y on the target" in one integer pass: multiply
     by e^{d_x l}, apply the scaled reversal R, multiply by e^{d_y l}.  With
     n_Y = a/b, R takes numerators t over a denominator D to numerators
-    (-1)^i (g!/i!) (g-i)! b t_{g-i} over r a D."""
+    (-1)^i (g!/i!) (g-i)! b t_{g-i} over r a D.  Every factor that does
+    not depend on e comes from the spec's integer kernel, built on its
+    first use."""
     _require_match(e.ctx, spec.src, "apply")
-    g = spec.g
-    nx, dx = _exp_ints(spec.d_x, g)
+    nx, ny, weights, den = spec._kernel
     t = _conv(nx, e._nums)
-    a, b = spec.dst.n.numerator, spec.dst.n.denominator
-    fg = factorial(g)
-    rev = []
-    for i in range(g + 1):
-        x = fg // factorial(i) * factorial(g - i) * b * t[g - i]
-        rev.append(-x if i & 1 else x)
-    ny, dy = _exp_ints(spec.d_y, g)
-    return CohClass._new(spec.dst, _conv(ny, rev), dy * spec.r * a * dx * e._den)
+    rev = [w * x for w, x in zip(weights, reversed(t))]
+    return CohClass._new(spec.dst, _conv(ny, rev), den * e._den)
 
 
 def quasi_inverse(spec: FMTransformSpec) -> QuasiInverse:

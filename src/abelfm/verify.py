@@ -73,9 +73,20 @@ def _rng(tag: str) -> random.Random:
     return random.Random(f"{_SEED}:{tag}")
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from 0..n-1 for n >= 1: the rejection loop over
+    getrandbits(n.bit_length()) that Random.randrange(n) runs, so every
+    draw is the one that rng.randint would make, without its call layers."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _rand_ints(rng: random.Random) -> tuple[int, int]:
     """A numerator in -9..9, then a denominator in 1..8."""
-    return rng.randint(-9, 9), rng.randint(1, 8)
+    return _below(rng, 19) - 9, _below(rng, 8) + 1
 
 
 def _rand_rat(rng: random.Random) -> Fraction:
@@ -83,7 +94,7 @@ def _rand_rat(rng: random.Random) -> Fraction:
 
 
 def _rand_pos(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 9), rng.randint(1, 8))
+    return Fraction(_below(rng, 9) + 1, _below(rng, 8) + 1)
 
 
 def _rand_class(rng: random.Random, ctx: AbelianContext) -> CohClass:
@@ -108,7 +119,7 @@ def _spec(g: int, n_x, r: int = 1, d_x=0, d_y=0) -> transform.FMTransformSpec:
 
 
 def _rand_spec(rng: random.Random, g: int) -> transform.FMTransformSpec:
-    r = rng.randint(1, 4)
+    r = _below(rng, 4) + 1
     n_x = _rand_pos(rng)
     return _spec(g, n_x, r, _rand_rat(rng), _rand_rat(rng))
 
@@ -233,9 +244,9 @@ def _check_point_class() -> tuple[str, str]:
 def _check_reciprocity_guard() -> tuple[str, str]:
     rng = _rng("guard")
     for _ in range(100):
-        g = rng.randint(1, 5)
+        g = _below(rng, 5) + 1
         spec = _rand_spec(rng, g)  # accepts by construction
-        bad = spec.dst.n * Fraction(rng.randint(2, 9), rng.randint(2, 9) + 7)
+        bad = spec.dst.n * Fraction(_below(rng, 8) + 2, _below(rng, 8) + 9)
         if bad == spec.dst.n:
             bad = spec.dst.n * 2
         try:
@@ -341,10 +352,11 @@ def _check_zeta_reality() -> tuple[str, str]:
         spec = _spec(g, factorial(g))
         for q in range(1, 9):
             for p in range(-q, q + 1):
-                if Fraction(p, q) == 0:
+                if not p:
                     continue
-                u = PolarScalar(Fraction(3, 2), Fraction(p, q))
-                _expect(induced.zeta(spec, u).is_real == ((Fraction(p, q) * g).denominator == 1),
+                f = Fraction(p, q)
+                u = PolarScalar(Fraction(3, 2), f)
+                _expect(induced.zeta(spec, u).is_real == ((f * g).denominator == 1),
                         "zeta(u) is real exactly when g*angle(u) is an integer", spec=spec, u=u)
         for f in induced.real_zeta_angles(g):
             u = PolarScalar(Fraction(2), f)
@@ -368,23 +380,22 @@ def _check_induced_identity() -> tuple[str, str]:
     # the identity is u-free: each class's law is built once and read at every u
     lambdas = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3))
     for g in (2, 3):
+        us = [PolarScalar(lam, Fraction(k, g)) for k in range(1, g) for lam in lambdas]
         for spec in _law_specs(g):
             basis = lattice.divided_power_basis(spec.src)
             laws = [(e, induced.transport_law(spec, e)) for e in basis]
-            for k in range(1, g):
-                for lam in lambdas:
-                    u = PolarScalar(lam, Fraction(k, g))
-                    for idx, (e, law) in enumerate(laws):
-                        v = law.verdict(u, f"e{idx}")
-                        _expect(v.equal and v.exact and v.lhs == v.rhs, "the transport identity",
-                                spec=spec, u=u, e=e)
+            for u in us:
+                for idx, (e, law) in enumerate(laws):
+                    v = law.verdict(u, f"e{idx}")
+                    _expect(v.equal and v.exact and v.lhs == v.rhs, "the transport identity",
+                            spec=spec, u=u, e=e)
     return "PASS", "charge transport holds exactly for all angle/modulus/spec combinations"
 
 
 def _check_param_positivity() -> tuple[str, str]:
     lambdas = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3))
     for g in (2, 3, 6):
-        for spec in (_law_specs(g)[0], _law_specs(g)[1]):
+        for spec in _law_specs(g)[:2]:
             for k in range(1, g):
                 for lam in lambdas:
                     om_s, om_d = (om.as_surd() for om in induced.conjecture_params(spec, k, lam))
@@ -473,7 +484,7 @@ def _check_charge_oracle() -> tuple[str, str]:
         ctx = AbelianContext(g, _rand_pos(rng))
         for _ in range(10):
             e = _rand_class(rng, ctx)
-            k = rng.randint(1, g)
+            k = _below(rng, g) + 1
             b = _rand_rat(rng)
             t = Q3(_rand_pos(rng), _rand_pos(rng) if rng.random() < 0.5 else Fraction(0))
             spec = stability.ChargeSpec(ctx, k, b, t)
@@ -491,7 +502,7 @@ def _check_slope_scaling() -> tuple[str, str]:
     ctx = AbelianContext(3, Fraction(2))
     for _ in range(20):
         e = _rand_class(rng, ctx)
-        spec = stability.ChargeSpec(ctx, rng.randint(1, 3), _rand_rat(rng), _rand_pos(rng))
+        spec = stability.ChargeSpec(ctx, _below(rng, 3) + 1, _rand_rat(rng), _rand_pos(rng))
         q = _rand_pos(rng)
         s1, s2 = stability.slope(spec, e), stability.slope(spec, e.scale(q))
         _expect(stability.slope_cmp(s1, s2) == 0, "slope(q*e) = slope(e)", spec=spec, e=e, q=q)

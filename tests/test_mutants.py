@@ -8,9 +8,11 @@ function, and calls that module's killing test directly, which must fail.
 A hypothesis test takes part only through one of its explicit examples, run
 by ``.hypothesis.inner_test``, so that no kill rests on a random draw."""
 
+import functools
 import importlib
 import inspect
 import pkgutil
+import re
 import tempfile
 import textwrap
 from fractions import Fraction as F
@@ -47,15 +49,19 @@ def _owner(target, name):
 
 
 def _mutant(module, name, old, new):
-    """module.name (a function, or "Class.method") with the one occurrence
-    of old in its source replaced by new; its globals are a copy of the
-    module's."""
+    """module.name (a function, or "Class.method", or "Class.prop" for a
+    cached_property) with the one occurrence of old in its source replaced
+    by new; its globals are a copy of the module's."""
     owner, attr = _owner(module, name)
-    src = textwrap.dedent(inspect.getsource(getattr(owner, attr)))
+    fn = getattr(owner, attr)
+    src = textwrap.dedent(inspect.getsource(getattr(fn, "func", fn)))
     assert src.count(old) == 1, f"{name}: {old!r} does not occur once in its source"
     namespace = dict(vars(module))
     exec(compile(src.replace(old, new), inspect.getsourcefile(module), "exec"), namespace)
-    return namespace[attr]
+    mutant = namespace[attr]
+    if isinstance(mutant, functools.cached_property):
+        mutant.__set_name__(owner, attr)  # as the class statement would
+    return mutant
 
 
 def _linear_example(case):
@@ -84,6 +90,21 @@ def _conv_example(xs, ys):
     return lambda: test.hypothesis.inner_test((xs, ys), F(0))
 
 
+def _surd_mul_example(*case):
+    test = test_surd.test_surd_complex_mul_div_match_fraction_pairs
+    return lambda: test.hypothesis.inner_test(*case)
+
+
+def _bg_example(case):
+    test = test_stability.test_bg_check_decides_as_the_fraction_formula
+    return lambda: test.hypothesis.inner_test(case)
+
+
+def _verify_draws():
+    with pytest.MonkeyPatch.context() as mp:
+        test_verify.test_draw_stream_is_pinned(mp)
+
+
 def _params_golden():
     with tempfile.TemporaryDirectory() as tmp:
         test_cli.test_params_matches_golden(Path(tmp))
@@ -93,7 +114,9 @@ def _params_golden():
 #  {module that binds the function: its killing test, or None where the
 #   fault cannot change what that module computes}).  A method is patched
 # once, on its class, which every module reaches; its row names a killing
-# test in each module that calls it.
+# test in each module that calls it, or, for an operator, in each module
+# that binds its class.  A patched cached_property only reaches objects
+# built after the patch, so its killers build their own.
 MUTANTS = [
     (
         "column-parts-sign-at-j-3-mod-4",
@@ -258,6 +281,42 @@ MUTANTS = [
         },
     ),
     (
+        "transform-kernel-takes-d-y-for-d-x",
+        abelfm.transform, "FMTransformSpec._kernel",
+        "_exp_ints(self.d_x, g)", "_exp_ints(self.d_y, g)",
+        {abelfm.transform: test_transform.test_composition_with_twists},
+    ),
+    (
+        "complex-product-without-the-3-of-sqrt3-sqrt3",
+        abelfm.surd, "SurdComplex.__mul__", "3 * (xb * ub", "(xb * ub",
+        {
+            abelfm.surd: _surd_mul_example((F(1, 2), F(1, 3)), (F(-2, 5), F(3, 7)),
+                                           (F(3), F(-1, 4)), (F(5, 6), F(2))),
+            # stability and induced multiply no two SurdComplex values after
+            # import: charges come from the integer Horner core
+            abelfm.stability: None,
+            abelfm.induced: None,
+            # the bg suite's series oracle squares a beta with a sqrt 3 part
+            abelfm.verify: _verify_draws,
+        },
+    ),
+    (
+        "bg-check-without-the-18",
+        abelfm.stability, "bg_check", "18 * td * td", "td * td",
+        {abelfm.stability: _bg_example((test_stability.ctx3(), F(0), test_stability.SQRT3,
+                                        abelfm.lattice.line_bundle(test_stability.ctx3(), F(1))))},
+    ),
+    (
+        "zeta-without-the-angle-normalization",
+        abelfm.induced, "zeta", "normalize_angle(u.angle * g)", "u.angle * g",
+        {abelfm.induced: test_induced.test_zeta_matches_the_power_formula_on_a_grid},
+    ),
+    (
+        "below-accepts-the-draw-n",
+        abelfm.verify, "_below", "while r >= n:", "while r > n:",
+        {abelfm.verify: lambda: test_verify.test_below_draws_what_randrange_draws(19)},
+    ),
+    (
         "vanishes-at-reads-the-quotient",
         abelfm.induced, "_vanishes_at", "_cyclotomic(n))[1]", "_cyclotomic(n))[0]",
         {abelfm.induced: _cyclotomic_example(coeffs=[F(1)], j=2, lam=F(1), make_root=True)},
@@ -294,9 +353,13 @@ def test_every_module_that_binds_a_faulted_function_has_a_row_entry():
     modules = [importlib.import_module(f"abelfm.{m.name}")
                for m in pkgutil.iter_modules(abelfm.__path__) if m.name != "__main__"]
     for fault, module, name, _, _, kills in MUTANTS:
-        if "." in name:  # a method: every module that calls it
-            call = f".{name.rsplit('.', 1)[-1]}("
-            binders = {m for m in modules if call in inspect.getsource(m)}
+        if "." in name:  # a method or property: every module that uses it
+            owner, attr = _owner(module, name)
+            if attr.startswith("__"):  # an operator: every module that binds its class
+                binders = {m for m in modules if getattr(m, owner.__name__, None) is owner}
+            else:
+                use = re.compile(rf"\.{attr}\b")
+                binders = {m for m in modules if use.search(inspect.getsource(m))}
         else:
             original = getattr(module, name)
             binders = {m for m in modules if getattr(m, name, None) is original}

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import abelfm.stability
 from abelfm.lattice import (
@@ -15,6 +15,7 @@ from abelfm.lattice import (
     line_bundle,
     skyscraper,
     structure_sheaf,
+    twist,
 )
 from abelfm.stability import (
     ChargeSpec,
@@ -466,3 +467,42 @@ def test_bg_check_monotone_in_t():
     v_small = bg_check(ctx, F(0), t, e)
     v_big = bg_check(ctx, F(0), 10 * t, e)
     assert v_small.inequality_holds and v_big.inequality_holds
+
+
+def _bg_reference(ctx, b, t, e):
+    """(lhs, rhs, holds) of the degree-three bound by the Fraction and Q3
+    formula: lhs = c_3^B n and rhs = t^2 c_1^B n / 18."""
+    c = twist(e, b).c
+    lhs = Q3(c[3] * ctx.n)
+    rhs = (t * t) * F(c[1] * ctx.n, 18)
+    return lhs, rhs, (rhs - lhs).sign() >= 0
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonneg = st.fractions(min_value=0, max_value=20, max_denominator=12)
+
+
+@st.composite
+def bg_cases(draw):
+    ctx = AbelianContext(3, draw(st.fractions(min_value=F(1, 12), max_value=20,
+                                              max_denominator=12)))
+    t = Q3(draw(nonneg), draw(nonneg))
+    assume(t.sign() > 0)
+    return ctx, draw(small), t, CohClass(ctx, draw(st.lists(small, min_size=4, max_size=4)))
+
+
+@given(bg_cases())
+# sqrt3 t, then c_1 < 0
+@example((ctx3(), F(1, 3), Q3(F(1, 2), F(2, 5)), CohClass(ctx3(), (F(1), F(2), F(-1, 3), F(3, 7)))))
+@example((ctx3(), F(0), Q3(F(5, 2)), CohClass(ctx3(), (F(2), F(-3), F(1), F(-1, 2)))))
+@example((ctx3(), F(2, 3), Q3(F(1), F(1)), CohClass.zero(ctx3())))  # the zero class
+@example((ctx3(), F(-1, 2), Q3(F(1, 4)), skyscraper(ctx3())))  # the skyscraper
+@example((ctx3(), F(0), SQRT3, line_bundle(ctx3(), F(1))))  # equality: 1 = 3 * 6/18
+def test_bg_check_decides_as_the_fraction_formula(case):
+    ctx, b, t, e = case
+    # through the module, so tests/test_mutants.py can fault it
+    v = abelfm.stability.bg_check(ctx, b, t, e)
+    assert (v.lhs, v.rhs, v.inequality_holds) == _bg_reference(ctx, b, t, e)
+    for part in (v.lhs, v.rhs):
+        a, s, d = part._abd
+        assert d > 0 and math.gcd(a, s, d) == 1

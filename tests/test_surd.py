@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import abelfm.surd
 from abelfm.lattice import AbelianContext, CohClass
@@ -24,6 +24,7 @@ from abelfm.surd import (
 )
 
 H = Fraction(1, 2)
+O = Fraction(0)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -259,6 +260,15 @@ def test_q3_arithmetic_matches_fraction_pairs(x, y):
 
 
 @given(pairs, pairs, pairs, pairs)
+# sqrt 3 in every part, over unequal denominators
+@example((H, Fraction(1, 3)), (Fraction(-2, 5), Fraction(3, 7)), (Fraction(3), Fraction(-1, 4)),
+         (Fraction(5, 6), Fraction(2)))
+# the Pell near-cancellation 26 - 15 sqrt3: times its conjugate, and turned by 1 + i
+@example((Fraction(26), Fraction(-15)), (O, O), (Fraction(26), Fraction(15)), (O, O))
+@example((Fraction(26), Fraction(-15)), (O, O), (Fraction(1), O), (Fraction(1), O))
+# zero parts: a zero factor, and pure sqrt 3 parts beside zeros
+@example((O, O), (O, O), (H, Fraction(3)), (Fraction(-7), Fraction(1, 9)))
+@example((O, Fraction(2, 3)), (O, O), (O, O), (O, Fraction(-5, 4)))
 def test_surd_complex_mul_div_match_fraction_pairs(a, b, c, d):
     z = SurdComplex(Q3(*a), Q3(*b))
     w = SurdComplex(Q3(*c), Q3(*d))
@@ -268,8 +278,9 @@ def test_surd_complex_mul_div_match_fraction_pairs(a, b, c, d):
     assert (as_pair(prod.re), as_pair(prod.im)) == (re, im)
     for part in (prod.re, prod.im):
         assert_canonical(part)
-    # a real factor, Fraction or Q3, either way round
-    for real, pair in ((c[0], (c[0], Fraction(0))), (Q3(*c), c)):
+    # a real factor, int, Fraction or Q3, either way round
+    k = int(c[0])
+    for real, pair in ((k, (Fraction(k), O)), (c[0], (c[0], O)), (Q3(*c), c)):
         for got in (z * real, real * z):
             assert (as_pair(got.re), as_pair(got.im)) == (ref_mul(a, pair), ref_mul(b, pair))
     if w.is_zero:

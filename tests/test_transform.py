@@ -1,11 +1,14 @@
 """Cohomological transform: spec validation, images, composition, duality."""
 
+import copy
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelfm.transform
 from abelfm.lattice import (
     AbelianContext,
     CohClass,
@@ -164,6 +167,46 @@ def test_apply_basis_closed_form():
             want = [F(0)] * (g + 1)
             want[g - i] = (-1) ** (g - i) * (n_x / factorial(g)) / factorial(g - i)
             assert img == CohClass(spec.dst, tuple(want))
+
+
+def test_a_spec_builds_its_kernel_once(monkeypatch):
+    # apply reads the exponentials of d_x and d_y from the spec's kernel,
+    # built on its first use, however many classes the spec maps
+    calls = []
+    exp_ints = abelfm.transform._exp_ints
+
+    def counting(d, g):
+        calls.append(d)
+        return exp_ints(d, g)
+
+    monkeypatch.setattr(abelfm.transform, "_exp_ints", counting)
+    spec = twisted_spec()
+    for e in divided_power_basis(spec.src):
+        apply(spec, e)
+    assert calls == [spec.d_x, spec.d_y]
+
+
+def _fresh(spec):
+    """A spec with the same fields and no kernel built yet."""
+    return FMTransformSpec(src=spec.src, dst=spec.dst, r=spec.r, d_x=spec.d_x, d_y=spec.d_y)
+
+
+def test_no_spec_kernel_goes_stale():
+    spec = twisted_spec()
+    coeffs = [e.c for e in divided_power_basis(spec.src)] + [(F(1, 2), F(-3), F(2, 7), F(5))]
+
+    def images(s):
+        return [apply(s, CohClass(s.src, c)) for c in coeffs]
+
+    original = images(spec)  # builds spec's kernel
+    assert "_kernel" in vars(spec)
+    copied = copy.copy(spec)  # carries the built kernel along
+    assert "_kernel" in vars(copied)
+    assert images(copied) == images(_fresh(spec)) == original
+    for other in (replace(spec, d_x=F(-5, 3)), replace(spec, d_y=F(7, 2))):
+        assert images(other) == images(_fresh(other)) != original
+    rev = quasi_inverse(spec).spec
+    assert images(rev) == images(_fresh(rev))
 
 
 def test_apply_rejects_foreign_context():

@@ -2,6 +2,8 @@
 a FAIL line whose witness, fed back through config and the public API,
 reproduces the violation with the fault in place and holds without it."""
 
+import hashlib
+import random
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -198,6 +200,39 @@ def test_law_suite_passes():
     # u as well as its equal flag, which is decided once per class
     results, ok = verify.run_verify("law")
     assert ok, [r.line() for r in results if r.status == "FAIL"]
+
+
+def test_draw_stream_is_pinned(monkeypatch):
+    # one digest over every value that _rand_ints and _rand_pos return in a
+    # run of all suites: a change in what verify draws, in what order, or in
+    # how a Python release's Random makes a draw, moves every witness
+    digest, count = hashlib.sha256(), 0
+
+    def recorded(draw):
+        def wrapper(rng):
+            nonlocal count
+            value = draw(rng)
+            digest.update(f"{value!r}\n".encode())
+            count += 1
+            return value
+        return wrapper
+
+    monkeypatch.setattr(verify, "_rand_ints", recorded(verify._rand_ints))
+    monkeypatch.setattr(verify, "_rand_pos", recorded(verify._rand_pos))
+    results, ok = verify.run_verify("all")
+    assert ok and len(results) == 29
+    assert count == 4297
+    assert digest.hexdigest() == "1a9ba6176f411ab7f17ba04c863c43ece952d7d3b49fcc79776af05e2edd5f76"
+
+
+# every n that verify draws below: the ranges -9..9, 1..8, 1..9, 2..9, 1..3,
+# 1..4, 1..5 and 1..g for g = 1..4
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 19])
+def test_below_draws_what_randrange_draws(n):
+    ours, theirs = random.Random(f"below:{n}"), random.Random(f"below:{n}")
+    got = [verify._below(ours, n) for _ in range(10_000)]
+    assert got == [theirs.randrange(n) for _ in range(10_000)]
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_unknown_suite_is_refused():
